@@ -73,10 +73,6 @@ def _bindings(args) -> dict:
     return dict(getattr(args, "bind", None) or [])
 
 
-def _vector_json(w: HarmonicVector) -> dict:
-    return w.to_json()
-
-
 # ---------------------------------------------------------------------------
 # command bodies: each returns (result, warnings, ok, pretty_lines)
 
@@ -102,7 +98,7 @@ def _cmd_apply(args):
     f = parse_symbol_expr(args.f)
     v = parse_basis_vector(args.v)
     out = apply_symbol(f, HarmonicVector.basis(v))
-    result = {"f": str(f), "v": v.label(), "image": _vector_json(out)}
+    result = {"f": str(f), "v": v.label(), "image": out.to_json()}
     return result, [], True, [f"T_f {v.label()} = {out}"]
 
 
@@ -116,7 +112,7 @@ def _cmd_commutator(args):
         "f": str(f),
         "u": str(u),
         "v": v.label(),
-        "residual": _vector_json(res),
+        "residual": res.to_json(),
         "zero": ok,
     }
     line = f"[T_f, T_u] {v.label()} = {res}"

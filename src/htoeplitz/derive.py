@@ -354,7 +354,7 @@ def run_pipeline(u: Symbol, N_start: int, K_max: int, n_max: int = 20) -> Deriva
         rec = StageRecord(g, "analytic", name, phi, integrable=phi.is_integrable())
         stages.append(rec)
         if not phi.is_integrable():
-            phi2, items = _force_constants(phi)
+            phi, items = _force_constants(phi)
             rec.forced = items
             if any(n == cname(N_eff) for n, _ in items):
                 rec.restarted = True
@@ -368,7 +368,6 @@ def run_pipeline(u: Symbol, N_start: int, K_max: int, n_max: int = 20) -> Deriva
                 N_eff -= 1
                 continue
             note_forced(g, items, comps)
-            phi = phi2.substitute_zero([])
         comps[g] = phi
         break
 
@@ -599,13 +598,9 @@ def _lemma_report(tag, eq, phi, printed_form, post_force, mid=None) -> LemmaRepo
     derived_ok = _satisfies(eq, phi)
     forced_names: List[str] = []
     derived = phi
-    if post_force:
-        if mid is not None and phi != mid:
-            # the pre-forcing form is also compared when the text prints one
-            pass
-        if not phi.is_integrable():
-            derived, items = _force_constants(phi)
-            forced_names = [n for n, _ in items]
+    if post_force and not phi.is_integrable():
+        derived, items = _force_constants(phi)
+        forced_names = [n for n, _ in items]
     match = derived == printed_form
     printed_ok = _satisfies(eq, printed_form if not post_force else (mid or printed_form))
     return LemmaReport(

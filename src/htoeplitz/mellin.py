@@ -4,6 +4,8 @@ For phi(r) = r^a (ln r)^b the transform phihat(z) = int_0^1 phi(r) r^{z-1} dr
 equals (-1)^b b! / (z+a)^{b+1}; extending linearly gives a bijection between
 the radial span and the rational functions whose partial fractions have no
 polynomial part.  Inversion is termwise on the partial-fraction form.
+``mellin_at`` reads one value of the transform straight from the terms,
+which is all the Toeplitz action needs.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactalg import Coeff, GaussianRational
+from .exactalg import Coeff, GaussianRational, Rat
 from .radial import RadialFunction
-from .ratfun import RationalFn
+from .ratfun import PoleError, RationalFn
 
 
 class MellinInversionError(ValueError):
@@ -26,6 +28,23 @@ def mellin(p: RadialFunction) -> RationalFn:
     for (a, b), c in p.terms.items():
         scalar = GaussianRational(Fraction((-1) ** b * math.factorial(b)))
         out = out + RationalFn.fraction(c.scale(scalar), a, b + 1)
+    return out
+
+
+def mellin_at(p: RadialFunction, s: Rat) -> Coeff:
+    """The value phihat(s), summed term by term as (-1)^b b! / (s+a)^{b+1}.
+
+    Equal to ``mellin(p).evaluate_at(s)`` without building the rational
+    function; raises PoleError when s + a = 0 for a term of p.
+    """
+    s = Fraction(s)
+    out = Coeff()
+    for (a, b), c in p.terms.items():
+        base = s + a
+        if base == 0:
+            raise PoleError(-a)
+        scalar = GaussianRational(Fraction((-1) ** b * math.factorial(b)) / base ** (b + 1))
+        out = out + c.scale(scalar)
     return out
 
 

@@ -24,10 +24,6 @@ class PoleError(ArithmeticError):
         return f"evaluation at a pole: z = {self.q}"
 
 
-def _coerce_coeff(x) -> Coeff:
-    return Coeff.coerce(x)
-
-
 class Poly:
     """Dense polynomial: coeffs[i] is the Coeff of z^i, top coefficient nonzero."""
 
@@ -347,11 +343,14 @@ class RationalFn:
         return self * inv
 
     def __eq__(self, other):
+        # num/den is unique: den is a monic product of (z+q) and the
+        # constructor cancels every such factor that divides num, so two
+        # equal functions have equal parts.
         other = RationalFn.coerce(other)
-        return (self - other).is_zero()
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        # canonical after cancellation only when den is monic prod; hash on parts
+        # hashes the same canonical parts that __eq__ compares
         return hash((self.num, frozenset(self.den.items())))
 
     # -- substitution / evaluation ----------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, Mapping, Tuple
 
 from .exactalg import Coeff, aname
-from .mellin import mellin
+from .mellin import mellin, mellin_at
 from .radial import RadialFunction
 from .ratfun import Poly, RationalFn
 
@@ -257,20 +257,21 @@ def apply_quasi(k: int, phi: RadialFunction, v: BasisVector) -> HarmonicVector:
     """Action of the Toeplitz operator with symbol e^{ik theta} phi on v.
 
     Four branches; the two below-threshold branches land on the opposite
-    side with a Mellin value at a fixed (n-independent) argument.
+    side with a Mellin value at a fixed (n-independent) argument.  Each
+    branch needs a single Mellin value of phi, read pointwise by
+    ``mellin_at`` rather than from the whole transform.
     """
-    phat = mellin(phi)
     n = v.n
     if v.side == ANALYTIC:
         if n >= -k:
-            c = phat.evaluate_at(2 * n + k + 2).scale(2 * (n + k + 1))
+            c = mellin_at(phi, 2 * n + k + 2).scale(2 * (n + k + 1))
             return HarmonicVector({z_vec(n + k): c})
-        c = phat.evaluate_at(-k + 2).scale(2 * (-n - k + 1))
+        c = mellin_at(phi, -k + 2).scale(2 * (-n - k + 1))
         return HarmonicVector({zbar_vec(-n - k): c})
     if n >= k:
-        c = phat.evaluate_at(2 * n - k + 2).scale(2 * (n - k + 1))
+        c = mellin_at(phi, 2 * n - k + 2).scale(2 * (n - k + 1))
         return HarmonicVector({zbar_vec(n - k): c})
-    c = phat.evaluate_at(k + 2).scale(2 * (k - n + 1))
+    c = mellin_at(phi, k + 2).scale(2 * (k - n + 1))
     return HarmonicVector({z_vec(k - n): c})
 
 

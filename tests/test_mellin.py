@@ -1,18 +1,20 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from htoeplitz import (
     MellinInversionError,
+    PoleError,
     Poly,
     RadialFunction,
     RationalFn,
     inverse_mellin,
     mellin,
+    mellin_at,
 )
 
-from .conftest import radial_functions
+from .conftest import fractions, radial_functions
 
 
 def test_power_table():
@@ -55,3 +57,25 @@ def test_fractional_exponent():
 @settings(deadline=None)
 def test_round_trip(phi):
     assert inverse_mellin(mellin(phi)) == phi
+
+
+@given(radial_functions(scalar=False), fractions())
+@settings(deadline=None)
+def test_mellin_at_matches_transform(phi, s):
+    assume(all(s + a != 0 for a, _ in phi.terms))
+    assert mellin_at(phi, s) == mellin(phi).evaluate_at(s)
+
+
+@given(radial_functions(scalar=False))
+@settings(deadline=None)
+def test_mellin_at_pole(phi):
+    for a, _ in phi.terms:
+        with pytest.raises(PoleError) as point:
+            mellin_at(phi, -a)
+        with pytest.raises(PoleError) as whole:
+            mellin(phi).evaluate_at(-a)
+        assert point.value.q == whole.value.q == -a
+
+
+def test_mellin_at_zero():
+    assert mellin_at(RadialFunction.zero, 3).is_zero()

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from htoeplitz import Coeff, Poly, PoleError, RationalFn
 
-from .conftest import rational_functions, scalar_coeffs
+from .conftest import coeffs, pole_values, rational_functions, scalar_coeffs
 
 
 def test_poly_basics():
@@ -137,6 +137,25 @@ def test_division_round_trip(f, g):
 @settings(deadline=None)
 def test_shift_inverts(f, b):
     assert f.shift(b).shift(-b) == f
+
+
+@given(rational_functions(), rational_functions())
+@settings(deadline=None)
+def test_structural_eq_agrees_with_difference(a, b):
+    assert (a == b) == (a - b).is_zero()
+    assert (a + b) - b == a
+    assert a.shift(2).shift(-2) == a
+
+
+@given(rational_functions(), coeffs(), pole_values)
+@settings(deadline=None)
+def test_structural_eq_after_cancellation(a, c, q):
+    # a common factor (z+q) put into both parts is cancelled on construction
+    a = a.scale(c)
+    den = dict(a.den)
+    den[q] = den.get(q, 0) + 1
+    b = RationalFn(a.num * Poly.linear(q), den)
+    assert b == a and hash(b) == hash(a)
 
 
 def test_render():

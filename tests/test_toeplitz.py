@@ -9,12 +9,14 @@ from htoeplitz import (
     BasisVector,
     Coeff,
     HarmonicVector,
+    PoleError,
     RadialFunction,
     Symbol,
     abar,
     apply_quasi,
     apply_symbol,
     commutator_residual,
+    mellin,
     u_symbol,
     verify_commute,
     z_vec,
@@ -53,6 +55,46 @@ def test_below_threshold_conjugate():
     # T_{z^3} zbar crosses back to the analytic side
     out = apply_quasi(3, RadialFunction.term(1, 3), zbar_vec(1))
     assert out == HarmonicVector.basis(z_vec(2), Fraction(3, 4))
+
+
+def _apply_quasi_via_transform(k, phi, v):
+    """The four branches read from the whole transform: (branch, image)."""
+    phat = mellin(phi)
+    n = v.n
+    if v.side == ANALYTIC:
+        if n >= -k:
+            c = phat.evaluate_at(2 * n + k + 2).scale(2 * (n + k + 1))
+            return "analytic", HarmonicVector({z_vec(n + k): c})
+        c = phat.evaluate_at(-k + 2).scale(2 * (-n - k + 1))
+        return "analytic below", HarmonicVector({zbar_vec(-n - k): c})
+    if n >= k:
+        c = phat.evaluate_at(2 * n - k + 2).scale(2 * (n - k + 1))
+        return "conjugate", HarmonicVector({zbar_vec(n - k): c})
+    c = phat.evaluate_at(k + 2).scale(2 * (k - n + 1))
+    return "conjugate below", HarmonicVector({z_vec(k - n): c})
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PoleError as e:
+        return ("pole", e.q)
+
+
+@given(radial_functions(scalar=False))
+@settings(deadline=None, max_examples=30)
+def test_apply_quasi_matches_transform(phi):
+    vectors = [z_vec(n) for n in range(5)] + [zbar_vec(n) for n in range(1, 5)]
+    branches = set()
+    for k in range(-3, 4):
+        for v in vectors:
+            expected = _outcome(_apply_quasi_via_transform, k, phi, v)
+            if expected[0] != "pole":
+                branches.add(expected[0])
+                expected = expected[1]
+            assert _outcome(apply_quasi, k, phi, v) == expected
+    if not any(a < 0 for a, _ in phi.terms):
+        assert len(branches) == 4
 
 
 def test_constant_symbol_is_identity_scalar():
