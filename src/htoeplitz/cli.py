@@ -2,8 +2,8 @@
 
 Every command writes a RunReport as JSON to stdout (pretty text with
 --pretty).  Exit status: 0 on success, 1 on a mathematical failure
-(nonzero residual, divergent quadrature, solver soundness failure),
-2 on a usage error.  The report shape is fixed by
+(nonzero residual, non-integrable symbol, divergent quadrature, solver
+soundness failure), 2 on a usage error.  The report shape is fixed by
 schema/runreport.schema.json.
 """
 
@@ -33,6 +33,7 @@ from .toeplitz import (
     CONJUGATE,
     BasisVector,
     HarmonicVector,
+    NonIntegrableSymbolError,
     apply_quasi,
     apply_symbol,
     commutator_residual,
@@ -330,7 +331,7 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except MathFailure as e:
+    except (MathFailure, NonIntegrableSymbolError) as e:
         report = _report(args.command, _inputs_echo(args), {"error": str(e)}, [], ok=False)
         print(json.dumps(report, indent=2))
         return 1

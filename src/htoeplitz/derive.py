@@ -23,9 +23,6 @@ from .radial import RadialFunction
 from .ratfun import Poly, RationalFn
 from .toeplitz import ANALYTIC, CONJUGATE, Symbol, u_symbol, verify_commute
 
-MAX_SHIFT_SEARCH = 25
-
-
 class TelescopeError(ValueError):
     pass
 
@@ -50,20 +47,19 @@ def antidifference(h: RationalFn) -> RationalFn:
     zero along every progression or no rational solution exists.  A
     polynomial part is integrated by solving top coefficient first.
     """
-    pf = h.partial_fractions()
-    out = RationalFn.zero
-    # polynomial part
-    remaining = pf.poly_part
+    poly = Poly()
+    remaining = h.poly_part
     while not remaining.is_zero():
         deg = remaining.degree()
         coef = remaining[deg] / Fraction(2 * (deg + 1))
         term = Poly([Coeff()] * (deg + 1) + [coef])
-        out = out + RationalFn(term)
+        poly = poly + term
         remaining = remaining - (term.shift(2) - term)
     # fractions, grouped by (pole residue class mod 2, power)
     groups: Dict[Tuple[Fraction, int], Dict[Fraction, Coeff]] = {}
-    for (q, j), c in pf.fractions.items():
+    for (q, j), c in h.fractions.items():
         groups.setdefault((q % 2, j), {})[q] = c
+    fractions = {}
     for (_res, j), items in groups.items():
         top = max(items)
         bottom = min(items)
@@ -77,8 +73,9 @@ def antidifference(h: RationalFn) -> RationalFn:
                         f"no rational antidifference: residue ladder at poles "
                         f"{{z+{bottom}, ..., z+{top}}}^{j} does not cancel"
                     )
-                out = out + RationalFn.fraction(d, p - 2, j)
+                fractions[(p - 2, j)] = d
             p -= 2
+    out = RationalFn.from_parts(poly, fractions)
     # exact verification
     if out.shift(2) - out != h:
         raise TelescopeError("antidifference verification failed")
@@ -206,14 +203,20 @@ def constraint_at_offset(u: Symbol, known: Symbol, g: int, side: str) -> Functio
 
 
 def _find_shift(A: RationalFn, B: RationalFn) -> Optional[int]:
-    if A == B:
-        return 0
-    for m in range(1, MAX_SHIFT_SEARCH + 1):
-        if A == B.shift(2 * m):
-            return m
-        if A == B.shift(-2 * m):
-            return -m
-    return None
+    """The m with A(z) = B(z + 2m), or None.
+
+    Each fraction c/(z+q)^j of B becomes c/(z+q+2m)^j in B(z + 2m), so m
+    is half the gap between the smallest q of A and of B; one comparison
+    confirms it.  Pole-free pairs try only m = 0.
+    """
+    m = 0
+    if A.fractions or B.fractions:
+        if not (A.fractions and B.fractions):
+            return None
+        m = (min(q for q, _ in A.fractions) - min(q for q, _ in B.fractions)) / 2
+        if m.denominator != 1:
+            return None
+    return int(m) if A == (B.shift(2 * m) if m else B) else None
 
 
 # ---------------------------------------------------------------------------

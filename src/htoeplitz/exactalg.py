@@ -142,6 +142,11 @@ ONE = GaussianRational(1)
 Monomial = tuple
 
 
+def _mono_key(m: Monomial):
+    """Total order on monomials, used wherever terms are listed."""
+    return [(indet_key(n), e) for n, e in m]
+
+
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     d = dict(a)
     for name, e in b:
@@ -291,10 +296,8 @@ class Coeff:
     # -- rendering / serialization ----------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
-        for mono in sorted(self.terms, key=lambda m: [indet_key(n) for n, _ in m]):
+        for mono in sorted(self.terms, key=_mono_key):
             c = self.terms[mono]
             factors = [f"{n}^{e}" if e > 1 else n for n, e in mono]
             if not factors:
@@ -305,10 +308,7 @@ class Coeff:
                 parts.append("-" + "*".join(factors))
             else:
                 parts.append("*".join([str(c)] + factors))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return render_sum(parts)
 
     def __repr__(self):
         return f"Coeff<{self}>"
@@ -316,9 +316,7 @@ class Coeff:
     def to_json(self):
         return [
             {"monomial": [[n, e] for n, e in mono], "re": str(c.re), "im": str(c.im)}
-            for mono, c in sorted(
-                self.terms.items(), key=lambda it: [indet_key(n) for n, _ in it[0]]
-            )
+            for mono, c in sorted(self.terms.items(), key=lambda it: _mono_key(it[0]))
         ]
 
     @staticmethod
@@ -329,6 +327,33 @@ class Coeff:
                                 key=lambda it: indet_key(it[0])))
             terms[mono] = GaussianRational(Fraction(entry["re"]), Fraction(entry["im"]))
         return Coeff(terms)
+
+
+def render_sum(parts: Iterable[str]) -> str:
+    """Join rendered summands with + and -; the empty sum is 0."""
+    out = ""
+    for p in parts:
+        if not out:
+            out = p
+        elif p.startswith("-"):
+            out += " - " + p[1:]
+        else:
+            out += " + " + p
+    return out or "0"
+
+
+def render_term(c: Coeff, factor: str) -> str:
+    """One summand c*factor: bare factor for c = +-1, sums parenthesized."""
+    cs = str(c)
+    if not factor:
+        return cs if c.is_scalar() else f"({cs})"
+    if cs == "1":
+        return factor
+    if cs == "-1":
+        return "-" + factor
+    if c.is_scalar() or len(c.terms) == 1:
+        return f"{cs}*{factor}"
+    return f"({cs})*{factor}"
 
 
 class UnboundIndeterminateError(KeyError):

@@ -1,11 +1,11 @@
 """Mellin transform on the radial span and its exact inverse.
 
 For phi(r) = r^a (ln r)^b the transform phihat(z) = int_0^1 phi(r) r^{z-1} dr
-equals (-1)^b b! / (z+a)^{b+1}; extending linearly gives a bijection between
-the radial span and the rational functions whose partial fractions have no
-polynomial part.  Inversion is termwise on the partial-fraction form.
-``mellin_at`` reads one value of the transform straight from the terms,
-which is all the Toeplitz action needs.
+equals (-1)^b b! / (z+a)^{b+1}.  A ``RationalFn`` is stored as partial
+fractions, so both directions relabel terms: r^a (ln r)^b <-> the fraction
+at (a, b+1).  The images of the radial span are the rational functions with
+no polynomial part.  ``mellin_at`` reads one value of the transform straight
+from the terms, which is all the Toeplitz action needs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .exactalg import Coeff, GaussianRational, Rat
 from .radial import RadialFunction
-from .ratfun import PoleError, RationalFn
+from .ratfun import PoleError, Poly, RationalFn
 
 
 class MellinInversionError(ValueError):
@@ -24,11 +24,10 @@ class MellinInversionError(ValueError):
 
 def mellin(p: RadialFunction) -> RationalFn:
     """Exact Mellin transform of a radial function, as a RationalFn in z."""
-    out = RationalFn.zero
-    for (a, b), c in p.terms.items():
-        scalar = GaussianRational(Fraction((-1) ** b * math.factorial(b)))
-        out = out + RationalFn.fraction(c.scale(scalar), a, b + 1)
-    return out
+    return RationalFn.from_parts(
+        Poly(),
+        {(a, b + 1): c.scale((-1) ** b * math.factorial(b)) for (a, b), c in p.terms.items()},
+    )
 
 
 def mellin_at(p: RadialFunction, s: Rat) -> Coeff:
@@ -51,18 +50,17 @@ def mellin_at(p: RadialFunction, s: Rat) -> Coeff:
 def inverse_mellin(a: RationalFn) -> RadialFunction:
     """The radial function whose Mellin transform is `a`.
 
-    Requires the partial fractions of `a` to have zero polynomial part;
-    each c/(z+q)^j inverts to c*(-1)^(j-1)/(j-1)! * r^q (ln r)^(j-1).
+    Requires `a` to have zero polynomial part; each c/(z+q)^j inverts to
+    c*(-1)^(j-1)/(j-1)! * r^q (ln r)^(j-1).
     """
-    pf = a.partial_fractions()
-    if not pf.poly_part.is_zero():
+    if not a.poly_part.is_zero():
         raise MellinInversionError(
             "not a Mellin image of the radial span (nonzero polynomial part: "
-            f"{pf.poly_part})"
+            f"{a.poly_part})"
         )
-    terms = {}
-    for (q, j), c in pf.fractions.items():
-        scalar = GaussianRational(Fraction((-1) ** (j - 1), math.factorial(j - 1)))
-        key = (q, j - 1)
-        terms[key] = terms.get(key, Coeff()) + c.scale(scalar)
-    return RadialFunction(terms)
+    return RadialFunction(
+        {
+            (q, j - 1): c.scale(Fraction((-1) ** (j - 1), math.factorial(j - 1)))
+            for (q, j), c in a.fractions.items()
+        }
+    )

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Tuple
 
-from .exactalg import Coeff, Rat
+from .exactalg import Coeff, Rat, render_sum, render_term
 
 Key = Tuple[Fraction, int]  # (exponent a, log power b)
 
@@ -131,31 +131,15 @@ class RadialFunction:
     # -- rendering / serialization ----------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for (a, b) in sorted(self.terms, key=lambda k: (-k[0], k[1])):
-            c = self.terms[(a, b)]
             factors = []
             if a != 0:
                 factors.append("r" if a == 1 else f"r^{a}")
             if b > 0:
                 factors.append("ln(r)" if b == 1 else f"ln(r)^{b}")
-            cs = str(c)
-            if not factors:
-                parts.append(cs if c.is_scalar() else f"({cs})")
-            elif cs == "1":
-                parts.append("*".join(factors))
-            elif cs == "-1":
-                parts.append("-" + "*".join(factors))
-            elif c.is_scalar() or len(c.terms) == 1:
-                parts.append("*".join([cs] + factors))
-            else:
-                parts.append("*".join([f"({cs})"] + factors))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+            parts.append(render_term(self.terms[(a, b)], "*".join(factors)))
+        return render_sum(parts)
 
     def __repr__(self):
         return f"RadialFunction<{self}>"

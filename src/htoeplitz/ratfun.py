@@ -1,18 +1,26 @@
-"""Univariate rational functions over Coeff with concrete rational poles.
+"""Univariate rational functions over Coeff, stored as partial fractions.
 
 ``Poly`` is a dense polynomial in one variable with ``Coeff`` coefficients.
-``RationalFn`` is num / prod_q (z+q)^{m_q} with every pole location q a
-concrete rational; the denominator is monic with scalar coefficients, which
-is what makes exact partial fractions possible over the coefficient ring.
-Degrees stay small in this package, so everything is dense and direct.
+``RationalFn`` is poly_part + sum over (q, j) of c / (z+q)^j, every pole
+location q a concrete rational and j >= 1.  That form is unique, so
+equality is structural; sums merge the parts, shifts and affine
+substitutions relabel poles, and a product of fractions at two poles splits
+by  1/((z+p)^a (z+q)^b) = sum_n (-1)^n C(b+n-1, n) (q-p)^(-b-n) / (z+p)^(a-n)
++ (p <-> q).  The Mellin images of the radial span are exactly the forms
+with no polynomial part.  ``num`` / ``den`` give the reduced quotient with a
+monic denominator, for rendering and serialization.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence, Tuple
+from functools import reduce
+from math import comb, gcd, lcm
+from typing import Dict, Mapping, Sequence, Tuple
 
-from .exactalg import Coeff, GaussianRational, Rat
+from .exactalg import Coeff, GaussianRational, Rat, render_sum, render_term
+
+Pole = Tuple[Fraction, int]  # (q, j) for the fraction 1/(z+q)^j
 
 
 class PoleError(ArithmeticError):
@@ -130,27 +138,16 @@ class Poly:
             acc = acc * q + c
         return acc
 
-    def divmod_scalar(self, divisor: "Poly") -> Tuple["Poly", "Poly"]:
-        """Quotient and remainder; divisor must have an invertible scalar lead."""
-        lead = divisor.leading()
-        if divisor.is_zero() or not lead.is_scalar():
-            raise ZeroDivisionError("divisor must have a nonzero scalar leading coefficient")
-        inv = GaussianRational(1) / lead.scalar()
-        rem = list(self.coeffs)
-        dd = divisor.degree()
-        qd = len(rem) - 1 - dd
-        if qd < 0:
-            return Poly(), self
-        quot = [Coeff() for _ in range(qd + 1)]
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c.is_zero():
-                continue
-            f = c.scale(inv)
-            quot[i - dd] = f
-            for j, dc in enumerate(divisor.coeffs):
-                rem[i - dd + j] = rem[i - dd + j] - f * dc
-        return Poly(quot), Poly(rem[:dd])
+    def div_linear(self, q: Rat) -> Tuple["Poly", Coeff]:
+        """Quotient and remainder of division by z + q (synthetic division)."""
+        r = -Fraction(q)
+        acc = Coeff()
+        vals = []
+        for c in reversed(self.coeffs):
+            acc = c + acc.scale(r)
+            vals.append(acc)
+        rem = vals.pop() if vals else Coeff()
+        return Poly(vals[::-1]), rem
 
     def compose_affine(self, alpha: Rat, beta: Rat) -> "Poly":
         """p(alpha*w + beta) as a polynomial in w."""
@@ -165,29 +162,12 @@ class Poly:
         return self.compose_affine(1, beta)
 
     def render(self, var: str = "z") -> str:
-        if not self.coeffs:
-            return "0"
         parts = []
         for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self[i]
-            if c.is_zero():
-                continue
-            power = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
-            cs = str(c)
-            if not power:
-                parts.append(cs if c.is_scalar() else f"({cs})")
-            elif cs == "1":
-                parts.append(power)
-            elif cs == "-1":
-                parts.append("-" + power)
-            elif c.is_scalar() or len(c.terms) == 1:
-                parts.append(f"{cs}*{power}")
-            else:
-                parts.append(f"({cs})*{power}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+            if not self.coeffs[i].is_zero():
+                power = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
+                parts.append(render_term(self.coeffs[i], power))
+        return render_sum(parts)
 
     def __str__(self):
         return self.render()
@@ -203,6 +183,55 @@ class Poly:
         return Poly([Coeff.from_json(c) for c in data])
 
 
+def _acc(out: dict, key: Pole, c: Coeff) -> None:
+    out[key] = out[key] + c if key in out else c
+
+
+def _split(out: dict, c: Coeff, p: Fraction, a: int, q: Fraction, b: int) -> None:
+    """Add c / ((z+p)^a (z+q)^b), p != q, to the fraction map out."""
+    for (x, m), (y, n) in (((p, a), (q, b)), ((q, b), (p, a))):
+        inv = 1 / (y - x)
+        for i in range(m):
+            s = (-1) ** i * comb(n + i - 1, i) * inv ** (n + i)
+            _acc(out, (x, m - i), c.scale(s))
+
+
+def _divide_linear(poly: Poly, fractions: Mapping[Pole, Coeff], q: Fraction):
+    """The parts of (poly + fractions) / (z+q)."""
+    quot, rem = poly.div_linear(q)
+    out = {(q, 1): rem} if rem else {}
+    for (p, j), c in fractions.items():
+        if p == q:
+            _acc(out, (q, j + 1), c)
+        elif c:
+            _split(out, c, p, j, q, 1)
+    return quot, out
+
+
+def _poly_times(P: Poly, fractions: Mapping[Pole, Coeff], out: dict) -> Poly:
+    """Add the fraction part of P * fractions to out and return its polynomial part.
+
+    At each pole p, P is expanded in w = z + p; the powers of w below j
+    stay fractions at p and the rest shift back to a polynomial in z.
+    """
+    by_pole: Dict[Fraction, list] = {}
+    for (p, j), c in fractions.items():
+        by_pole.setdefault(p, []).append((j, c))
+    poly = Poly()
+    for p, terms in by_pole.items():
+        t = P.shift(-p).coeffs
+        high = [Coeff()] * max(0, len(t) - min(j for j, _ in terms))
+        for j, c in terms:
+            for i, ti in enumerate(t):
+                if i < j:
+                    _acc(out, (p, j - i), ti * c)
+                else:
+                    high[i - j] = high[i - j] + ti * c
+        if high:
+            poly = poly + Poly(high).shift(p)
+    return poly
+
+
 def _den_poly(den: Mapping[Fraction, int]) -> Poly:
     out = Poly.const(1)
     for q, m in den.items():
@@ -211,38 +240,39 @@ def _den_poly(den: Mapping[Fraction, int]) -> Poly:
 
 
 class RationalFn:
-    """num / prod (z+q)^m, poles at concrete rationals, cancelled on build."""
+    """poly_part + sum over (q, j) of fractions[(q, j)] / (z+q)^j.
 
-    __slots__ = ("num", "den")
+    ``fractions`` holds no zero entries, so the two parts are unique.
+    """
+
+    __slots__ = ("poly_part", "fractions")
 
     def __init__(self, num: Poly | Sequence, den: Mapping[Rat, int] | None = None):
-        if not isinstance(num, Poly):
-            num = Poly(num)
-        d = {}
-        if den:
-            for q, m in den.items():
-                if m < 0:
-                    raise ValueError("negative multiplicity")
-                if m > 0:
-                    q = Fraction(q)
-                    d[q] = d.get(q, 0) + m
-        # cancel every pole the numerator absorbs completely
-        for q in list(d):
-            while d[q] > 0 and not num.is_zero() and num.evaluate(-q).is_zero():
-                num, rem = num.divmod_scalar(Poly.linear(q))
-                assert rem.is_zero()
-                d[q] -= 1
-            if d[q] == 0:
-                del d[q]
-        if num.is_zero():
-            d = {}
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", d)
+        """num / prod (z+q)^m, reduced to partial fractions."""
+        poly = num if isinstance(num, Poly) else Poly(num)
+        fractions: dict = {}
+        for q, m in (den or {}).items():
+            if m < 0:
+                raise ValueError("negative multiplicity")
+            for _ in range(m):
+                poly, fractions = _divide_linear(poly, fractions, Fraction(q))
+        self._set(poly, fractions)
+
+    def _set(self, poly: Poly, fractions: Mapping[Pole, Coeff]) -> None:
+        object.__setattr__(self, "poly_part", poly)
+        object.__setattr__(self, "fractions", {k: c for k, c in fractions.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFn is immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def from_parts(poly_part: Poly, fractions: Mapping[Pole, Coeff]) -> "RationalFn":
+        """poly_part + sum c/(z+q)^j over fractions[(q, j)] = c, with j >= 1."""
+        out = object.__new__(RationalFn)
+        out._set(poly_part, fractions)
+        return out
 
     @staticmethod
     def const(c) -> "RationalFn":
@@ -264,32 +294,40 @@ class RationalFn:
     zero: "RationalFn"
     one: "RationalFn"
 
+    # -- the reduced quotient ----------------------------------------------
+
+    @property
+    def den(self) -> Dict[Fraction, int]:
+        """Pole q -> multiplicity: the monic denominator prod (z+q)^m."""
+        out: Dict[Fraction, int] = {}
+        for q, j in self.fractions:
+            if j > out.get(q, 0):
+                out[q] = j
+        return out
+
+    @property
+    def num(self) -> Poly:
+        """The numerator over ``den``; it shares no factor (z+q) with it."""
+        if not self.fractions:
+            return self.poly_part
+        return (self * RationalFn(_den_poly(self.den))).poly_part
+
     # -- algebra -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return self.poly_part.is_zero() and not self.fractions
 
     def __add__(self, other):
         other = RationalFn.coerce(other)
-        den = dict(self.den)
-        for q, m in other.den.items():
-            den[q] = max(den.get(q, 0), m)
-        na = self.num
-        for q, m in den.items():
-            extra = m - self.den.get(q, 0)
-            if extra:
-                na = na * (Poly.linear(q) ** extra)
-        nb = other.num
-        for q, m in den.items():
-            extra = m - other.den.get(q, 0)
-            if extra:
-                nb = nb * (Poly.linear(q) ** extra)
-        return RationalFn(na + nb, den)
+        out = dict(self.fractions)
+        for key, c in other.fractions.items():
+            _acc(out, key, c)
+        return RationalFn.from_parts(self.poly_part + other.poly_part, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFn(-self.num, self.den)
+        return RationalFn.from_parts(-self.poly_part, {k: -c for k, c in self.fractions.items()})
 
     def __sub__(self, other):
         return self + (-RationalFn.coerce(other))
@@ -299,15 +337,26 @@ class RationalFn:
 
     def __mul__(self, other):
         other = RationalFn.coerce(other)
-        den = dict(self.den)
-        for q, m in other.den.items():
-            den[q] = den.get(q, 0) + m
-        return RationalFn(self.num * other.num, den)
+        out: dict = {}
+        poly = self.poly_part * other.poly_part
+        for P, fractions in ((self.poly_part, other.fractions), (other.poly_part, self.fractions)):
+            if not P.is_zero() and fractions:
+                poly = poly + _poly_times(P, fractions, out)
+        for (p, a), c in self.fractions.items():
+            for (q, b), d in other.fractions.items():
+                if p == q:
+                    _acc(out, (p, a + b), c * d)
+                else:
+                    _split(out, c * d, p, a, q, b)
+        return RationalFn.from_parts(poly, out)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "RationalFn":
-        return RationalFn(self.num.scale(c), self.den)
+        c = Coeff.coerce(c)
+        return RationalFn.from_parts(
+            self.poly_part.scale(c), {k: v * c for k, v in self.fractions.items()}
+        )
 
     def __truediv__(self, other):
         """Division restricted to denominators whose roots are rational.
@@ -318,40 +367,32 @@ class RationalFn:
         other = RationalFn.coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero RationalFn")
-        inv_den = dict(other.den)  # becomes numerator factors of the inverse
         num = other.num
-        scale = GaussianRational(1)
         lead = num.leading()
-        if lead.is_scalar() and lead.scalar() != GaussianRational(1):
-            scale = lead.scalar()
-            num = num.scale(GaussianRational(1) / scale)
-        roots: dict = {}
+        scale = lead.scalar() if lead.is_scalar() else GaussianRational(1)
+        num = num.scale(GaussianRational(1) / scale)
+        roots = []
         while num.degree() > 0:
             root = _rational_root(num)
             if root is None:
                 raise ValueError("divisor numerator has no rational root; cannot invert")
-            q = -root
-            num, rem = num.divmod_scalar(Poly.linear(q))
-            assert rem.is_zero()
-            roots[q] = roots.get(q, 0) + 1
-        lead = num.leading()  # scalar Coeff remaining
-        if num.is_zero() or not lead.is_scalar():
+            num, _ = num.div_linear(-root)
+            roots.append(-root)
+        if not num.leading().is_scalar():
             raise ValueError("divisor must reduce to a scalar times linear factors")
-        inv = RationalFn(
-            _den_poly(inv_den).scale(GaussianRational(1) / (scale * lead.scalar())), roots
-        )
-        return self * inv
+        out = self * RationalFn(_den_poly(other.den)) if other.fractions else self
+        out = out.scale(GaussianRational(1) / (scale * num.leading().scalar()))
+        poly, fractions = out.poly_part, out.fractions
+        for q in roots:
+            poly, fractions = _divide_linear(poly, fractions, q)
+        return RationalFn.from_parts(poly, fractions)
 
     def __eq__(self, other):
-        # num/den is unique: den is a monic product of (z+q) and the
-        # constructor cancels every such factor that divides num, so two
-        # equal functions have equal parts.
         other = RationalFn.coerce(other)
-        return self.den == other.den and self.num == other.num
+        return self.poly_part == other.poly_part and self.fractions == other.fractions
 
     def __hash__(self):
-        # hashes the same canonical parts that __eq__ compares
-        return hash((self.num, frozenset(self.den.items())))
+        return hash((self.poly_part, frozenset(self.fractions.items())))
 
     # -- substitution / evaluation ----------------------------------------
 
@@ -361,94 +402,52 @@ class RationalFn:
         beta = Fraction(beta)
         if alpha == 0:
             raise ValueError("alpha must be nonzero")
-        num = self.num.compose_affine(alpha, beta)
-        den = {}
-        total_m = 0
-        for q, m in self.den.items():
-            den[(q + beta) / alpha] = m
-            total_m += m
-        num = num.scale(Coeff.const(Fraction(1) / alpha ** total_m))
-        return RationalFn(num, den)
+        return RationalFn.from_parts(
+            self.poly_part.compose_affine(alpha, beta),
+            {((q + beta) / alpha, j): c.scale(alpha ** -j) for (q, j), c in self.fractions.items()},
+        )
 
     def shift(self, beta: Rat) -> "RationalFn":
         """a(z + beta)."""
-        return self.affine_substitute(1, beta)
+        beta = Fraction(beta)
+        return RationalFn.from_parts(
+            self.poly_part.shift(beta),
+            {(q + beta, j): c for (q, j), c in self.fractions.items()},
+        )
 
     def evaluate_at(self, q: Rat) -> Coeff:
         q = Fraction(q)
-        val = self.num.evaluate(q)
-        denom = GaussianRational(1)
-        for p, m in self.den.items():
-            base = q + p
-            if base == 0:
+        out = self.poly_part.evaluate(q)
+        for (p, j), c in self.fractions.items():
+            if q + p == 0:
                 raise PoleError(-p)
-            denom = denom * _gr_pow(GaussianRational(base), m)
-        return val.scale(GaussianRational(1) / denom)
+            out = out + c.scale(1 / (q + p) ** j)
+        return out
 
     def bind_eval(self, z: complex, bindings=None) -> complex:
         """Floating evaluation for the oracle-facing paths."""
         bindings = bindings or {}
-        num = 0j
-        for i, c in enumerate(self.num.coeffs):
-            num += c.bind(bindings) * z ** i
-        den = 1.0 + 0j
-        for q, m in self.den.items():
-            den *= (z + float(q)) ** m
-        return num / den
-
-    def substitute_zero(self, names) -> "RationalFn":
-        return RationalFn(Poly([c.substitute_zero(names) for c in self.num.coeffs]), self.den)
-
-    def indeterminates(self) -> set:
-        out = set()
-        for c in self.num.coeffs:
-            out |= c.indeterminates()
+        out = 0j
+        for i, c in enumerate(self.poly_part.coeffs):
+            out += c.bind(bindings) * z ** i
+        for (q, j), c in self.fractions.items():
+            out += c.bind(bindings) / (z + float(q)) ** j
         return out
 
-    # -- partial fractions -------------------------------------------------
-
-    def partial_fractions(self) -> "PartialFractions":
-        """Exact decomposition into poly part plus sums c/(z+q)^j.
-
-        For each pole q with multiplicity m, write w = z + q and expand
-        num(w-q) / [den(w-q)/w^m] as a power series in w to order m; the
-        series coefficients are the fraction coefficients for powers m..1.
-        Series division is by the cofactor, whose constant term is a nonzero
-        rational, so everything stays exact over Coeff.
-        """
-        den_poly = _den_poly(self.den)
-        poly_part, rem = self.num.divmod_scalar(den_poly)
-        fractions = {}
-        for q, m in self.den.items():
-            cofactor = Poly.const(1)
-            for p, mp in self.den.items():
-                if p != q:
-                    cofactor = cofactor * (Poly.linear(p) ** mp)
-            num_s = rem.shift(-q)          # numerator in w = z+q
-            cof_s = cofactor.shift(-q)     # cofactor in w, constant term != 0
-            c0 = cof_s[0].scalar()
-            inv0 = GaussianRational(1) / c0
-            series = []
-            for j in range(m):
-                t = num_s[j]
-                for i in range(j):
-                    t = t - series[i] * cof_s[j - i]
-                series.append(t.scale(inv0))
-            for j in range(m):
-                c = series[j]
-                if not c.is_zero():
-                    fractions[(q, m - j)] = c
-        return PartialFractions(poly_part, fractions)
+    def partial_fractions(self) -> "RationalFn":
+        """The partial-fraction form, which is how every RationalFn is stored."""
+        return self
 
     # -- rendering / serialization ----------------------------------------
 
     def render(self, var: str = "z") -> str:
-        n = self.num.render(var)
-        if not self.den:
+        num, den = self.num, self.den
+        n = num.render(var)
+        if not den:
             return n
         dparts = []
-        for q in sorted(self.den):
-            m = self.den[q]
+        for q in sorted(den):
+            m = den[q]
             if q == 0:
                 base = var
             elif q > 0:
@@ -457,7 +456,7 @@ class RationalFn:
                 base = f"({var}-{-q})"
             dparts.append(base if m == 1 else f"{base}^{m}")
         d = dparts[0] if len(dparts) == 1 else "(" + "*".join(dparts) + ")"
-        if self.num.degree() > 0 or (self.num.coeffs and not self.num.coeffs[0].is_scalar()):
+        if num.degree() > 0 or (num.coeffs and not num.coeffs[0].is_scalar()):
             n = f"({n})"
         return f"{n}/{d}"
 
@@ -479,13 +478,6 @@ class RationalFn:
             Poly.from_json(data["num"]),
             {Fraction(e["q"]): e["m"] for e in data["den"]},
         )
-
-
-def _gr_pow(x: GaussianRational, n: int) -> GaussianRational:
-    out = GaussianRational(1)
-    for _ in range(n):
-        out = out * x
-    return out
 
 
 def _rational_root(p: Poly) -> Fraction | None:
@@ -510,13 +502,8 @@ def _rational_root(p: Poly) -> Fraction | None:
     if cs[0] == 0:
         return Fraction(0)
     # clear denominators to integers
-    from math import lcm
-
-    denoms = lcm(*[f.denominator for f in cs]) if len(cs) > 1 else cs[0].denominator
+    denoms = lcm(*[f.denominator for f in cs])
     ints = [int(f * denoms) for f in cs]
-    from functools import reduce
-    from math import gcd
-
     g = reduce(gcd, (abs(i) for i in ints if i), 0)
     if g > 1:
         ints = [i // g for i in ints]
@@ -538,64 +525,6 @@ def _rational_root(p: Poly) -> Fraction | None:
                 if sum(c * cand ** i for i, c in enumerate(ints)) == 0:
                     return cand
     return None
-
-
-class PartialFractions:
-    """poly_part + sum over (q, j) of coeff/(z+q)^j."""
-
-    __slots__ = ("poly_part", "fractions")
-
-    def __init__(self, poly_part: Poly, fractions: Mapping[Tuple[Fraction, int], Coeff]):
-        object.__setattr__(self, "poly_part", poly_part)
-        object.__setattr__(
-            self, "fractions",
-            {k: v for k, v in fractions.items() if not Coeff.coerce(v).is_zero()},
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PartialFractions is immutable")
-
-    def recombine(self) -> RationalFn:
-        out = RationalFn(self.poly_part)
-        for (q, j), c in self.fractions.items():
-            out = out + RationalFn.fraction(c, q, j)
-        return out
-
-    def render(self, var: str = "z") -> str:
-        parts = []
-        if not self.poly_part.is_zero():
-            parts.append(self.poly_part.render(var))
-        for (q, j) in sorted(self.fractions):
-            c = self.fractions[(q, j)]
-            if q == 0:
-                base = var
-            elif q > 0:
-                base = f"({var}+{q})"
-            else:
-                base = f"({var}-{-q})"
-            if j > 1:
-                base = f"{base}^{j}"
-            cs = str(c)
-            if cs == "1":
-                parts.append(f"1/{base}")
-            elif cs == "-1":
-                parts.append(f"-1/{base}")
-            elif c.is_scalar() or len(c.terms) == 1:
-                parts.append(f"{cs}/{base}")
-            else:
-                parts.append(f"({cs})/{base}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
-
-    def __str__(self):
-        return self.render()
-
-    def __repr__(self):
-        return f"PartialFractions<{self}>"
 
 
 RationalFn.zero = RationalFn(Poly())

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Mapping, Tuple
 
-from .exactalg import Coeff, aname
+from .exactalg import Coeff, aname, render_sum, render_term
 from .mellin import mellin, mellin_at
 from .radial import RadialFunction
 from .ratfun import Poly, RationalFn
@@ -120,28 +120,12 @@ class HarmonicVector:
         return HarmonicVector({v: c.substitute_zero(names) for v, c in self.entries.items()})
 
     def __str__(self):
-        if not self.entries:
-            return "0"
         def key(v):
             return (0, v.n) if v.side == ANALYTIC else (1, v.n)
-        parts = []
-        for v in sorted(self.entries, key=key):
-            c = self.entries[v]
-            cs = str(c)
-            if v.n == 0:
-                parts.append(cs if c.is_scalar() else f"({cs})")
-            elif cs == "1":
-                parts.append(v.label())
-            elif cs == "-1":
-                parts.append("-" + v.label())
-            elif c.is_scalar() or len(c.terms) == 1:
-                parts.append(f"{cs}*{v.label()}")
-            else:
-                parts.append(f"({cs})*{v.label()}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return render_sum(
+            render_term(self.entries[v], v.label() if v.n else "")
+            for v in sorted(self.entries, key=key)
+        )
 
     def __repr__(self):
         return f"HarmonicVector<{self}>"
@@ -275,7 +259,33 @@ def apply_quasi(k: int, phi: RadialFunction, v: BasisVector) -> HarmonicVector:
     return HarmonicVector({z_vec(k - n): c})
 
 
+class NonIntegrableSymbolError(ValueError):
+    """A symbol term r^a (ln r)^b with a <= -2, which is not in L^1([0,1), r dr).
+
+    Its Mellin values are analytic continuations of divergent integrals,
+    so no Toeplitz operator is defined.
+    """
+
+    def __init__(self, k: int, a, b: int):
+        self.k, self.a, self.b = k, a, b
+        term = RadialFunction.term(1, a, b)
+        super().__init__(
+            f"symbol is not integrable: component e({k}) has the term {term} "
+            "(r^a (ln r)^b needs a > -2)"
+        )
+
+
+def _check_integrable(f: Symbol) -> None:
+    """Raise NonIntegrableSymbolError naming the first term of f with a <= -2."""
+    for k in sorted(f.components, reverse=True):
+        bad = f.components[k].non_integrable_terms()
+        if bad:
+            a, b = min(bad)
+            raise NonIntegrableSymbolError(k, a, b)
+
+
 def apply_symbol(f: Symbol, w: HarmonicVector) -> HarmonicVector:
+    _check_integrable(f)
     out = HarmonicVector.zero
     for k, phi in f.components.items():
         for v, c in w.entries.items():
@@ -414,6 +424,8 @@ def verify_commute(f: Symbol, u: Symbol, n_max: int) -> CommutationReport:
     can contribute to either composition; concrete residuals cover all
     indices up to max(n_max, n0*).
     """
+    _check_integrable(f)
+    _check_integrable(u)
     n_star = f.max_abs_degree() + u.max_abs_degree() + 1
     generic = {}
     nonzero = []

@@ -129,3 +129,29 @@ def test_pretty_flag_does_not_change_exit_code(capsys):
     )
     assert code_json == code_pretty == 1
     assert "witness" in out
+
+
+@pytest.mark.parametrize(
+    "argv, term",
+    [
+        (["apply", "--f", "r^-4", "--v", "1"], "r^-4"),
+        (["verify", "--f", "r^-10", "--u", "z"], "r^-10"),
+        (["verify", "--f", "z", "--u", "z + e(1)*r^-2*ln(r)"], "r^-2*ln(r)"),
+        (["commutator", "--f", "r^-3", "--u", "z", "--v", "z"], "r^-3"),
+    ],
+)
+def test_non_integrable_symbol_is_math_failure(capsys, argv, term):
+    # r^a (ln r)^b with a <= -2 is not in L^1(r dr): no Toeplitz operator,
+    # so no analytically continued Mellin value and no traceback either
+    code, report = run_json(capsys, *argv)
+    assert code == 1
+    assert report["status"] == "fail"
+    assert "not integrable" in report["result"]["error"]
+    assert f"term {term} " in report["result"]["error"]
+
+
+def test_integrable_boundary_still_applies(capsys):
+    # a = -1 is integrable against r dr: T z = 2(n+1) phihat(2n+2) z = 4 * 1/3 z
+    code, report = run_json(capsys, "apply", "--f", "r^-1", "--v", "z")
+    assert code == 0
+    assert report["result"]["image"] == {"z": "4/3"}

@@ -20,7 +20,7 @@ from htoeplitz import (
     solve_telescoping,
     u_symbol,
 )
-from htoeplitz.derive import _satisfies
+from htoeplitz.derive import _find_shift, _satisfies
 from htoeplitz.ratfun import Poly
 
 from .conftest import rational_functions, scalar_coeffs
@@ -146,3 +146,16 @@ def test_reproduce_divergent_lemmas():
 def test_unknown_tag():
     with pytest.raises(ValueError):
         reproduce_lemma("nope")
+
+
+@given(rational_functions(), st.integers(-40, 40))
+@settings(deadline=None)
+def test_find_shift_reads_poles(B, m):
+    # the shift is read off the poles, so it has no search bound
+    if B.fractions:
+        assert _find_shift(B.shift(2 * m), B) == m
+        assert _find_shift(B.shift(2 * m + 1), B) is None
+        assert _find_shift(B.shift(2 * m) + RationalFn.fraction(1, 99), B) is None
+    else:
+        assert _find_shift(B, B) == 0
+        assert _find_shift(RationalFn.fraction(1, 0), B) is None

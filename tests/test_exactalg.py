@@ -88,3 +88,12 @@ def test_constant_names():
     x = C(2) * abar(1) + C(-1) * C(3)
     assert x.constant_names() == {"C2", "Cm1", "C3"}
     assert x.indeterminates() == {"C2", "abar1", "Cm1", "C3"}
+
+
+def test_coeff_output_independent_of_insertion_order():
+    # monomials that differ only in an exponent used to tie in the sort key
+    a = C(2) * abar(1) + C(2) * abar(1) * abar(1)
+    b = C(2) * abar(1) * abar(1) + C(2) * abar(1)
+    assert a == b
+    assert str(a) == str(b) == "C2*abar1 + C2*abar1^2"
+    assert a.to_json() == b.to_json()

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from htoeplitz import (
     BasisVector,
     Coeff,
     HarmonicVector,
+    NonIntegrableSymbolError,
     PoleError,
     RadialFunction,
     Symbol,
@@ -181,3 +183,18 @@ def test_compose_generic_consistency():
             continue
         expect = direct.entries.get(z_vec(n + d), Coeff.const(0))
         assert fn.evaluate_at(Fraction(n)) == expect
+
+
+def test_non_integrable_symbols_are_refused():
+    # r^a (ln r)^b with a <= -2 is outside L^1(r dr); the error names the term
+    bad = Symbol({0: RadialFunction.term(1, -4)}) + Symbol.monomial_z(1)
+    with pytest.raises(NonIntegrableSymbolError) as exc:
+        apply_symbol(bad, HarmonicVector.basis(z_vec(0)))
+    assert (exc.value.k, exc.value.a, exc.value.b) == (0, -4, 0)
+    assert "r^-4" in str(exc.value)
+    log_term = Symbol({-1: RadialFunction.term(abar(1), -2, 1)})
+    with pytest.raises(NonIntegrableSymbolError) as exc:
+        verify_commute(Symbol.monomial_z(1), u_symbol(1) + log_term, 4)
+    assert "e(-1)" in str(exc.value) and "r^-2*ln(r)" in str(exc.value)
+    with pytest.raises(NonIntegrableSymbolError):
+        verify_commute(bad, u_symbol(1), 4)
