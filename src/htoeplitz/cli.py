@@ -70,6 +70,18 @@ def _parse_binding(text: str):
     return name.strip(), z
 
 
+def _int_at_least(lo: int):
+    """An argparse type: an integer >= lo, else a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {n}")
+        return n
+
+    parse.__name__ = "int"   # argparse names the type in "invalid int value"
+    return parse
+
+
 def _bindings(args) -> dict:
     return dict(getattr(args, "bind", None) or [])
 
@@ -274,14 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify [T_f, T_u] = 0 exactly")
     p.add_argument("--f", required=True)
     p.add_argument("--u", required=True)
-    p.add_argument("--nmax", type=int, default=20)
+    p.add_argument("--nmax", type=_int_at_least(0), default=20)
     p.set_defaults(body=_cmd_verify)
 
     p = sub.add_parser("derive", help="derive all symbols commuting with T_u")
-    p.add_argument("--L", type=int, required=True, help="truncation degree of u")
-    p.add_argument("--N", type=int, required=True, help="starting top degree of f")
-    p.add_argument("--K", type=int, required=True, help="deepest conjugate degree")
-    p.add_argument("--nmax", type=int, default=20)
+    p.add_argument("--L", type=_int_at_least(0), required=True, help="truncation degree of u")
+    p.add_argument("--N", type=_int_at_least(2), required=True, help="starting top degree of f")
+    p.add_argument("--K", type=_int_at_least(0), required=True, help="deepest conjugate degree")
+    p.add_argument("--nmax", type=_int_at_least(0), default=20)
     p.add_argument("--json", action="store_true", help="JSON output (the default)")
     p.set_defaults(body=_cmd_derive)
 

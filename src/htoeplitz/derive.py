@@ -17,11 +17,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exactalg import C as C_, Coeff, abar as abar_, cname, is_constant_name
+from .exactalg import C as C_, Coeff, abar as abar_, cname
 from .mellin import MellinInversionError, inverse_mellin, mellin
 from .radial import RadialFunction
 from .ratfun import Poly, RationalFn
-from .toeplitz import ANALYTIC, CONJUGATE, Symbol, u_symbol, verify_commute
+from .toeplitz import (
+    ANALYTIC,
+    CONJUGATE,
+    Symbol,
+    branch_offset,
+    branch_z,
+    u_symbol,
+    verify_commute,
+)
 
 class TelescopeError(ValueError):
     pass
@@ -36,7 +44,6 @@ class FunctionalEquation:
     G: RationalFn
     rhs: RationalFn
     unknown_name: str
-    period: int = 2
 
 
 def antidifference(h: RationalFn) -> RationalFn:
@@ -133,18 +140,6 @@ def _check_u(u: Symbol) -> None:
             )
 
 
-def _coeff_z(side: str, k: int, phi: RadialFunction) -> RationalFn:
-    """Per-component coefficient as a function of z = 2n on one input side."""
-    phat = mellin(phi)
-    if side == ANALYTIC:
-        return RationalFn(Poly([2 * k + 2, 1])) * phat.shift(k + 2)
-    return RationalFn(Poly([2 - 2 * k, 1])) * phat.shift(-k + 2)
-
-
-def _offset(side: str, k: int) -> int:
-    return k if side == ANALYTIC else -k
-
-
 def constraint_at_offset(u: Symbol, known: Symbol, g: int, side: str) -> FunctionalEquation:
     """The telescoping equation isolating the unknown component of degree g.
 
@@ -159,7 +154,6 @@ def constraint_at_offset(u: Symbol, known: Symbol, g: int, side: str) -> Functio
     if side == ANALYTIC:
         c, d = Fraction(2 * g + 2), Fraction(g + 2)
         M = RationalFn.one
-        target = g + 1
     else:
         if g >= 0:
             raise TelescopeError("conjugate-side derivation requires negative degree")
@@ -167,7 +161,6 @@ def constraint_at_offset(u: Symbol, known: Symbol, g: int, side: str) -> Functio
         # unknown terms: -(z-2g) phihat(z-g+2) + z(z-2g)/(z+2) phihat(z-g);
         # multiplying by M normalizes them to F(z+2) - F(z) with F = z phihat(z-g)
         M = RationalFn(Poly([2, 1])).scale(-1) / RationalFn(Poly([-2 * g, 1]))
-        target = -g - 1
     G = RationalFn.zero
     rhs = RationalFn.zero
     residual = RationalFn.zero
@@ -175,14 +168,14 @@ def constraint_at_offset(u: Symbol, known: Symbol, g: int, side: str) -> Functio
         if kf == g:
             continue
         for j, phi_u in u.components.items():
-            if _offset(side, kf) + _offset(side, j) != _offset(side, g) + _offset(side, 1):
+            if kf + j != g + 1:
                 continue
-            u_fn = _coeff_z(side, j, phi_u)
-            du = 2 * _offset(side, j)
-            df = 2 * _offset(side, kf)
+            u_fn = branch_z(side, j, phi_u)
+            du = 2 * branch_offset(side, j)
+            df = 2 * branch_offset(side, kf)
             for key, coef in phi_f.terms.items():
                 term = RadialFunction({key: coef})
-                c_t = _coeff_z(side, kf, term)
+                c_t = branch_z(side, kf, term)
                 s1 = u_fn * c_t.shift(du)          # T_f T_u path (u first)
                 s2 = c_t * u_fn.shift(df)          # T_u T_f path (f first)
                 A = M * s2
@@ -319,75 +312,48 @@ def run_pipeline(u: Symbol, N_start: int, K_max: int, n_max: int = 20) -> Deriva
         raise ValueError("N_start must be >= 2")
     stages: List[StageRecord] = []
     forced_ledger: Dict[str, Tuple[int, Tuple[Fraction, int]]] = {}
-    introduced: List[str] = []
+    introduced: Dict[str, None] = {}     # ordered set of constant names
     notes: List[str] = []
-    N_eff = N_start
+    comps: Dict[int, RadialFunction] = {}
 
-    def note_forced(g: int, items, comps):
-        names = []
-        for name, key in items:
-            if name not in forced_ledger:
-                forced_ledger[name] = (g, key)
-            names.append(name)
-        if names:
+    def run_stage(g: int, side: str) -> StageRecord:
+        eq = constraint_at_offset(u, Symbol(comps), g, side)
+        name, phi = solve_telescoping(eq)
+        introduced[name] = None
+        rec = StageRecord(g, side, name, phi, integrable=phi.is_integrable())
+        stages.append(rec)
+        if not rec.integrable:
+            phi, rec.forced = _force_constants(phi)
+            names = [n for n, _ in rec.forced]
+            for n, key in rec.forced:
+                forced_ledger.setdefault(n, (g, key))
             for k in list(comps):
                 comps[k] = comps[k].substitute_zero(names)
                 if comps[k].is_zero():
                     del comps[k]
-        return names
-
-    while True:
-        comps: Dict[int, RadialFunction] = {}
-        restart = False
-        # top two degrees from commutation with T_z
-        for g in (N_eff, N_eff - 1):
-            if g < 1:
-                continue
-            phi = commute_with_Tz_solve(g)
-            if cname(g) not in introduced:
-                introduced.append(cname(g))
-            comps[g] = phi
-            stages.append(StageRecord(g, "Tz-solve", cname(g), phi))
-        # degree N-2 with the restart rule bounding the top degree
-        g = N_eff - 2
-        eq = constraint_at_offset(u, Symbol(comps), g, ANALYTIC)
-        name, phi = solve_telescoping(eq)
-        if name not in introduced:
-            introduced.append(name)
-        rec = StageRecord(g, "analytic", name, phi, integrable=phi.is_integrable())
-        stages.append(rec)
-        if not phi.is_integrable():
-            phi, items = _force_constants(phi)
-            rec.forced = items
-            if any(n == cname(N_eff) for n, _ in items):
-                rec.restarted = True
-                for n, key in items:
-                    if n not in forced_ledger:
-                        forced_ledger[n] = (g, key)
-                notes.append(
-                    f"top degree {N_eff} rejected: derived component of degree {g} "
-                    f"has a non-integrable term; restarting at {N_eff - 1}"
-                )
-                N_eff -= 1
-                continue
-            note_forced(g, items, comps)
-        comps[g] = phi
-        break
-
-    def run_stage(g: int, side: str):
-        eq = constraint_at_offset(u, Symbol(comps), g, side)
-        name, phi = solve_telescoping(eq)
-        if name not in introduced:
-            introduced.append(name)
-        rec = StageRecord(g, side, name, phi, integrable=phi.is_integrable())
-        stages.append(rec)
-        if not phi.is_integrable():
-            phi, items = _force_constants(phi)
-            rec.forced = items
-            names = note_forced(g, items, comps)
-            phi = phi.substitute_zero(names)
         if not phi.is_zero():
             comps[g] = phi
+        return rec
+
+    N_eff = N_start
+    while True:
+        comps.clear()
+        # top two degrees from commutation with T_z
+        for g in (N_eff, N_eff - 1):
+            if g >= 1:
+                comps[g] = commute_with_Tz_solve(g)
+                introduced[cname(g)] = None
+                stages.append(StageRecord(g, "Tz-solve", cname(g), comps[g]))
+        # degree N-2 bounds the top degree: restart lower if it forces C_N
+        rec = run_stage(N_eff - 2, ANALYTIC)
+        if all(n != cname(N_eff) for n, _ in rec.forced):
+            break
+        rec.restarted = True
+        notes.append(
+            f"top degree {N_eff} rejected: derived component of degree {N_eff - 2} "
+            f"has a non-integrable term; restarting at {N_eff - 1}"
+        )
+        N_eff -= 1
 
     for g in range(N_eff - 3, -3, -1):
         run_stage(g, ANALYTIC)
@@ -523,8 +489,39 @@ def _satisfies(eq: FunctionalEquation, phi: RadialFunction) -> bool:
     return F - eq.G == RationalFn.const(Coeff.indet(eq.unknown_name))
 
 
-def _f1_full() -> RadialFunction:
-    return _printed_formulas()["R4.2"]
+def _lemma_setup(tag: str, printed: Dict[str, RadialFunction]):
+    """(L, g, side, known components) of one printed derivation step.
+
+    The analytic-side steps start from the T_z-solved tops C_d r^d and the
+    printed components above g; the conjugate-side steps from the main
+    theorem's components C1 r, C0 and C1 abar_l r^l at degree -l.
+    """
+    def tops(*ds):
+        return {d: _r(C_(d), d) for d in ds}
+
+    def main_theorem(k):
+        return {**tops(1, 0), **{-l: _r(C_(1) * abar_(l), l) for l in range(1, k)}}
+
+    if tag.startswith("induction(") and tag.endswith(")"):
+        k = int(tag[len("induction("):-1])
+        if k < 2:
+            raise ValueError("induction tag requires k >= 2")
+        return k, -k, CONJUGATE, main_theorem(k)
+    upper = {**tops(3, 2), 1: printed["R4.2"]}
+    f3 = main_theorem(3)
+    f3[-1] = _r(C_(-1), -1) + f3[-1]     # Cm1 is still free: f-3 is the step that forces it
+    table = {
+        "4.1": (1, 2, ANALYTIC, tops(4, 3)),
+        "R4.2": (1, 1, ANALYTIC, tops(3, 2)),
+        "f0": (2, 0, ANALYTIC, upper),
+        "f-1": (3, -1, ANALYTIC, upper),
+        "f-2": (4, -2, ANALYTIC, {**upper, 0: printed["f0"], -1: printed["f-1"]}),
+        "f-3": (3, -3, CONJUGATE, f3),
+        "f-4": (4, -4, CONJUGATE, main_theorem(4)),
+    }
+    if tag not in table:
+        raise ValueError(f"unknown lemma tag {tag!r}")
+    return table[tag]
 
 
 def reproduce_lemma(tag: str) -> LemmaReport:
@@ -532,89 +529,32 @@ def reproduce_lemma(tag: str) -> LemmaReport:
 
     On mismatch, both the mechanized and the printed radial functions are
     checked against the exact functional-equation identity, so the verdict
-    does not depend on the printed text.
+    does not depend on the printed text.  Conjugate-side steps are printed
+    after forcing; their pre-forcing form (``-mid``) is what the equation
+    checks, and the derived form is forced before the comparison.
     """
     printed = _printed_formulas()
-    C1, C2, C3, C4 = C_(1), C_(2), C_(3), C_(4)
-    C0, Cm1 = C_(0), C_(-1)
-    if tag == "4.1":
-        known = Symbol({4: _r(C4, 4), 3: _r(C3, 3)})
-        eq = constraint_at_offset(u_symbol(1), known, 2, ANALYTIC)
-        _, phi = solve_telescoping(eq)
-        return _lemma_report(tag, eq, phi, printed["4.1"], post_force=False)
-    if tag == "R4.2":
-        known = Symbol({3: _r(C3, 3), 2: _r(C2, 2)})
-        eq = constraint_at_offset(u_symbol(1), known, 1, ANALYTIC)
-        _, phi = solve_telescoping(eq)
-        return _lemma_report(tag, eq, phi, printed["R4.2"], post_force=False)
-    if tag == "f0":
-        known = Symbol({3: _r(C3, 3), 2: _r(C2, 2), 1: _f1_full()})
-        eq = constraint_at_offset(u_symbol(2), known, 0, ANALYTIC)
-        _, phi = solve_telescoping(eq)
-        return _lemma_report(tag, eq, phi, printed["f0"], post_force=False)
-    if tag == "f-1":
-        known = Symbol({3: _r(C3, 3), 2: _r(C2, 2), 1: _f1_full()})
-        eq = constraint_at_offset(u_symbol(3), known, -1, ANALYTIC)
-        _, phi = solve_telescoping(eq)
-        return _lemma_report(tag, eq, phi, printed["f-1"], post_force=False)
-    if tag == "f-2":
-        fulls = _printed_formulas()
-        known = Symbol(
-            {3: _r(C3, 3), 2: _r(C2, 2), 1: _f1_full(), 0: fulls["f0"], -1: fulls["f-1"]}
-        )
-        eq = constraint_at_offset(u_symbol(4), known, -2, ANALYTIC)
-        _, phi = solve_telescoping(eq)
-        return _lemma_report(tag, eq, phi, printed["f-2"], post_force=False)
-    if tag == "f-3":
-        known = Symbol(
-            {1: _r(C1, 1), 0: _r(C0, 0), -1: _r(Cm1, -1) + _r(C1 * abar_(1), 1),
-             -2: _r(C1 * abar_(2), 2)}
-        )
-        eq = constraint_at_offset(u_symbol(3), known, -3, CONJUGATE)
-        _, phi = solve_telescoping(eq)
-        return _lemma_report(tag, eq, phi, printed["f-3"], post_force=True,
-                             mid=printed["f-3-mid"])
-    if tag == "f-4":
-        known = Symbol(
-            {1: _r(C1, 1), 0: _r(C0, 0), -1: _r(C1 * abar_(1), 1),
-             -2: _r(C1 * abar_(2), 2), -3: _r(C1 * abar_(3), 3)}
-        )
-        eq = constraint_at_offset(u_symbol(4), known, -4, CONJUGATE)
-        _, phi = solve_telescoping(eq)
-        return _lemma_report(tag, eq, phi, printed["f-4"], post_force=True,
-                             mid=printed["f-4-mid"])
-    if tag.startswith("induction(") and tag.endswith(")"):
-        k = int(tag[len("induction("):-1])
-        if k < 2:
-            raise ValueError("induction tag requires k >= 2")
-        comps = {1: _r(C1, 1), 0: _r(C0, 0)}
-        for l in range(1, k):
-            comps[-l] = _r(C1 * abar_(l), l)
-        eq = constraint_at_offset(u_symbol(k), Symbol(comps), -k, CONJUGATE)
-        _, phi = solve_telescoping(eq)
-        mid = _r(C_(-k), -k) + _r(C1 * abar_(k), k)
-        return _lemma_report(tag, eq, phi, _r(C1 * abar_(k), k), post_force=True, mid=mid)
-    raise ValueError(f"unknown lemma tag {tag!r}")
-
-
-def _lemma_report(tag, eq, phi, printed_form, post_force, mid=None) -> LemmaReport:
-    derived_ok = _satisfies(eq, phi)
-    forced_names: List[str] = []
-    derived = phi
-    if post_force and not phi.is_integrable():
+    L, g, side, known = _lemma_setup(tag, printed)
+    if tag not in printed:   # induction(k): the main theorem's C1 abar_k r^k
+        printed[tag] = _r(C_(1) * abar_(L), L)
+        printed[tag + "-mid"] = _r(C_(-L), -L) + printed[tag]
+    eq = constraint_at_offset(u_symbol(L), Symbol(known), g, side)
+    _, phi = solve_telescoping(eq)
+    mid = printed.get(tag + "-mid")
+    derived, forced = phi, []
+    if mid is not None and not phi.is_integrable():
         derived, items = _force_constants(phi)
-        forced_names = [n for n, _ in items]
-    match = derived == printed_form
-    printed_ok = _satisfies(eq, printed_form if not post_force else (mid or printed_form))
+        forced = [n for n, _ in items]
+    match = derived == printed[tag]
     return LemmaReport(
         tag=tag,
         derived=derived,
-        printed=printed_form,
+        printed=printed[tag],
         match=match,
-        forced=forced_names,
-        derived_satisfies_equation=derived_ok,
-        printed_satisfies_equation=printed_ok,
-        discrepancy=None if match else derived - printed_form,
+        forced=forced,
+        derived_satisfies_equation=_satisfies(eq, phi),
+        printed_satisfies_equation=_satisfies(eq, printed[tag] if mid is None else mid),
+        discrepancy=None if match else derived - printed[tag],
     )
 
 

@@ -12,7 +12,6 @@ from the symbolic engine is reused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Mapping
 
 from scipy.integrate import quad
@@ -25,20 +24,14 @@ class QuadratureDivergenceError(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+QUAD_TOL = 1e-12          # absolute and relative tolerance of each quad call
+QUAD_SUBDIVISIONS = 200   # quad's subinterval limit
 
 
 def mellin_numeric(
     p: RadialFunction,
     s: float,
     bindings: Mapping[str, complex] | None = None,
-    config: QuadratureConfig = DEFAULT_CONFIG,
 ) -> complex:
     """Quadrature value of int_0^1 p(r) r^{s-1} dr, termwise in t = -ln r."""
     bindings = bindings or {}
@@ -54,9 +47,9 @@ def mellin_numeric(
             lambda t: t ** b * math.exp(-decay * t),
             0.0,
             math.inf,
-            epsabs=config.abs_tol,
-            epsrel=config.abs_tol,
-            limit=config.max_subdivisions,
+            epsabs=QUAD_TOL,
+            epsrel=QUAD_TOL,
+            limit=QUAD_SUBDIVISIONS,
         )
         if err > 1e-8:
             raise QuadratureDivergenceError(
@@ -66,42 +59,11 @@ def mellin_numeric(
     return total
 
 
-def mellin_numeric_interval(
-    p: RadialFunction,
-    s: float,
-    bindings: Mapping[str, complex] | None = None,
-    eps: float = 1e-6,
-    panels: int = 2000,
-) -> complex:
-    """Composite Simpson value of int_eps^1 p(r) r^{s-1} dr.
-
-    Used to observe monotone convergence as eps shrinks; the adaptive
-    routine above is the primary oracle.
-    """
-    bindings = bindings or {}
-    if panels % 2:
-        panels += 1
-    h = (1.0 - eps) / panels
-    total = 0j
-
-    def integrand(r: float) -> complex:
-        return p.eval_numeric(r, bindings) * r ** (s - 1.0)
-
-    for i in range(panels + 1):
-        r = eps + i * h
-        if r >= 1.0:
-            r = 1.0 - 1e-15
-        w = 1 if i in (0, panels) else (4 if i % 2 else 2)
-        total += w * integrand(r)
-    return total * h / 3.0
-
-
 def apply_numeric(
     k: int,
     phi: RadialFunction,
     v: BasisVector,
     bindings: Mapping[str, complex] | None = None,
-    config: QuadratureConfig = DEFAULT_CONFIG,
 ) -> Dict[BasisVector, complex]:
     """Toeplitz action of e^{ik theta} phi on v, by basis projection.
 
@@ -112,7 +74,7 @@ def apply_numeric(
     m = v.n if v.side == ANALYTIC else -v.n
     j = m + k
     s = abs(m) + abs(j) + 2
-    val = 2 * (abs(j) + 1) * mellin_numeric(phi, float(s), bindings, config)
+    val = 2 * (abs(j) + 1) * mellin_numeric(phi, float(s), bindings)
     if j >= 0:
         out = z_vec(j)
     else:

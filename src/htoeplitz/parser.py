@@ -104,11 +104,19 @@ class _Parser:
         x = Fraction(int(val))
         if (self.peek()[1] == "/" and self.tokens[self.i + 1][0] == "int"):
             self.next()
-            x /= Fraction(int(self.next()[1]))
+            x /= self.parse_divisor()
         if self.peek()[1] == "i":
             self.next()
             return GaussianRational(0, x)
         return GaussianRational(x)
+
+    def parse_divisor(self) -> int:
+        """A signed integer literal after '/', which must not be 0."""
+        pos = self.peek()[2]
+        den = self.parse_signed_int()
+        if den == 0:
+            raise ParseError("division by zero", pos)
+        return den
 
     def parse_signed_rat(self) -> Fraction:
         paren = self.peek()[1] == "("
@@ -118,7 +126,7 @@ class _Parser:
         den = 1
         if self.peek()[1] == "/":
             self.next()
-            den = self.parse_signed_int()
+            den = self.parse_divisor()
         if paren:
             self.expect(")")
         return Fraction(num, den)
@@ -276,6 +284,14 @@ def parse_basis_vector(text: str) -> BasisVector:
 # rational functions in z
 
 
+def _divide(a: RationalFn, b: RationalFn, pos: int) -> RationalFn:
+    """a / b, or a ParseError at pos when b is 0 or has a non-rational root."""
+    try:
+        return a / b
+    except (ZeroDivisionError, ValueError) as exc:
+        raise ParseError(f"cannot divide by {b.render()}: {exc}", pos) from None
+
+
 class _RatParser(_Parser):
     def parse(self) -> RationalFn:
         out = self.parse_expr()
@@ -302,11 +318,13 @@ class _RatParser(_Parser):
         out = self.parse_power()
         while self.peek()[1] in ("*", "/"):
             op = self.next()[1]
+            pos = self.peek()[2]
             rhs = self.parse_power()
-            out = out * rhs if op == "*" else out / rhs
+            out = out * rhs if op == "*" else _divide(out, rhs, pos)
         return out
 
     def parse_power(self) -> RationalFn:
+        pos = self.peek()[2]
         base = self.parse_atom()
         if self.peek()[1] == "^":
             self.next()
@@ -314,7 +332,7 @@ class _RatParser(_Parser):
             if n < 0:
                 out = RationalFn.one
                 for _ in range(-n):
-                    out = out / base
+                    out = _divide(out, base, pos)
                 return out
             out = RationalFn.one
             for _ in range(n):

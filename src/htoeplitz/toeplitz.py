@@ -11,7 +11,6 @@ below-threshold indices are always handled concretely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, Mapping, Tuple
 
 from .exactalg import Coeff, aname, render_sum, render_term
@@ -76,12 +75,11 @@ class HarmonicVector:
 
     def __init__(self, entries: Mapping[BasisVector, Coeff] | None = None):
         clean = {}
-        if entries:
-            for v, c in entries.items():
-                c = Coeff.coerce(c)
-                if not c.is_zero():
-                    clean[v] = clean.get(v, Coeff()) + c if v in clean else c
-        object.__setattr__(self, "entries", {v: c for v, c in clean.items() if not c.is_zero()})
+        for v, c in (entries or {}).items():
+            c = Coeff.coerce(c)
+            if not c.is_zero():
+                clean[v] = c
+        object.__setattr__(self, "entries", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("HarmonicVector is immutable")
@@ -115,9 +113,6 @@ class HarmonicVector:
         if not isinstance(other, HarmonicVector):
             return NotImplemented
         return self.entries == other.entries
-
-    def substitute_zero(self, names) -> "HarmonicVector":
-        return HarmonicVector({v: c.substitute_zero(names) for v, c in self.entries.items()})
 
     def __str__(self):
         def key(v):
@@ -164,8 +159,6 @@ class Symbol:
         """z^n (n >= 0) or zbar^{-n} (n < 0) as a symbol."""
         return Symbol({n: RadialFunction.term(coeff, abs(n))})
 
-    zero: "Symbol"
-
     def __add__(self, other: "Symbol") -> "Symbol":
         comps = dict(self.components)
         for k, p in other.components.items():
@@ -194,15 +187,6 @@ class Symbol:
             return 0
         return max(abs(k) for k in self.components)
 
-    def substitute_zero(self, names) -> "Symbol":
-        return Symbol({k: p.substitute_zero(names) for k, p in self.components.items()})
-
-    def indeterminates(self) -> set:
-        out = set()
-        for p in self.components.values():
-            out |= p.indeterminates()
-        return out
-
     def __str__(self):
         if not self.components:
             return "0"
@@ -221,8 +205,6 @@ class Symbol:
     def to_json(self):
         return {str(k): self.components[k].to_json() for k in sorted(self.components, reverse=True)}
 
-
-Symbol.zero = Symbol()
 
 
 def u_symbol(L: int) -> Symbol:
@@ -334,24 +316,29 @@ def _side_min(side: str) -> int:
     return 0 if side == ANALYTIC else 1
 
 
+def branch_offset(side: str, k: int) -> int:
+    """Index offset d of e^{ik theta} on one input side above threshold: n -> n + d."""
+    return k if side == ANALYTIC else -k
+
+
+def branch_z(side: str, k: int, phi: RadialFunction) -> RationalFn:
+    """Above-threshold coefficient of e^{ik theta} phi on one side, in z = 2n.
+
+    Index n goes to n + d with coefficient 2(n+d+1) phihat(2n+d+2), where
+    d = k on z^n and d = -k on zbar^n.
+    """
+    d = branch_offset(side, k)
+    return RationalFn(Poly([2 * d + 2, 1])) * mellin(phi).shift(d + 2)
+
+
 def apply_generic(f: Symbol, side: str) -> GenericAction:
     """Generic form of T_f on one input side, above-threshold branches only."""
+    smin = _side_min(side)
     entries: Dict[int, Tuple[RationalFn, int]] = {}
     for k, phi in f.components.items():
-        phat = mellin(phi)
-        if side == ANALYTIC:
-            # coeff 2(n+k+1) phihat(2n+k+2) at z^{n+k}, needs n >= -k and n >= 0
-            fn = RationalFn(Poly([2 * (k + 1), 2])) * phat.affine_substitute(2, k + 2)
-            d, n0 = k, max(0, -k)
-        else:
-            # coeff 2(n-k+1) phihat(2n-k+2) at zbar^{n-k}, needs n >= k and n >= 1
-            fn = RationalFn(Poly([2 * (1 - k), 2])) * phat.affine_substitute(2, -k + 2)
-            d, n0 = -k, max(1, k + 1)
-        if d in entries:
-            old_fn, old_n0 = entries[d]
-            entries[d] = (old_fn + fn, max(old_n0, n0))
-        else:
-            entries[d] = (fn, n0)
+        d = branch_offset(side, k)
+        # valid while both n and n + d are indices on this side
+        entries[d] = (branch_z(side, k, phi).affine_substitute(2, 0), max(smin, smin - d))
     return GenericAction(side, entries)
 
 

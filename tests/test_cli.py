@@ -155,3 +155,53 @@ def test_integrable_boundary_still_applies(capsys):
     code, report = run_json(capsys, "apply", "--f", "r^-1", "--v", "z")
     assert code == 0
     assert report["result"]["image"] == {"z": "4/3"}
+
+
+@pytest.mark.parametrize(
+    "expr, column",
+    [
+        ("1/0", 3),              # zero literal denominator
+        ("r^(1/0)", 6),          # zero exponent denominator
+        ("1/(z-z)", 3),          # divisor that cancels to 0
+        ("1/(z^2+1)", 3),        # divisor with no rational root
+        ("1/(abar1*z+1)", 3),    # divisor with a symbolic root
+        ("(z^2+1)^-1", 1),       # the same through a negative power
+    ],
+)
+def test_bad_divisor_is_usage_error(capsys, expr, column):
+    command = "mellin" if expr.startswith("r") else "invmellin"
+    code = main([command, expr])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"(column {column})" in captured.err
+
+
+_RANGE_BASE = {
+    "derive": ["derive", "--L", "0", "--N", "2", "--K", "0", "--nmax", "0"],
+    "verify": ["verify", "--f", "z", "--u", "z", "--nmax", "0"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, bound",
+    [
+        ("derive", "--L", 0),
+        ("derive", "--N", 2),
+        ("derive", "--K", 0),
+        ("derive", "--nmax", 0),
+        ("verify", "--nmax", 0),
+    ],
+)
+def test_out_of_range_flag_is_usage_error(capsys, command, flag, bound):
+    def argv_with(value):
+        argv = list(_RANGE_BASE[command])
+        argv[argv.index(flag) + 1] = str(value)
+        return argv
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv_with(bound - 1))
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= {bound}, got {bound - 1}" in capsys.readouterr().err
+    # the first valid value runs: exit 0 or a mathematical verdict, not a usage error
+    assert main(argv_with(bound)) in (0, 1)

@@ -19,8 +19,10 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 CASES = {
     "verify-paper": ["verify-paper"],
+    "verify-paper-induction": ["verify-paper", "--tags", "induction(2)", "induction(9)"],
     "derive-L1": ["derive", "--L", "1", "--N", "3", "--K", "4"],
     "derive-L2": ["derive", "--L", "2", "--N", "3", "--K", "4"],
+    "derive-restart": ["derive", "--L", "1", "--N", "5", "--K", "4"],
     "verify-nonzero": ["verify", "--f", "z^2", "--u", "z+abar1*conj(z)", "--nmax", "8"],
     "mellin": ["mellin", "r^4*ln(r)"],
     "invmellin": ["invmellin", "(z+2)/(z^2+6*z+8)"],
