@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
 from fractions import Fraction
 
-from .derive import ALL_LEMMA_TAGS, reproduce_lemma, run_pipeline
+from .derive import ALL_LEMMA_TAGS, check_lemma_tag, reproduce_lemma, run_pipeline
 from .exactalg import Coeff, GaussianRational
 from .mellin import MellinInversionError, inverse_mellin, mellin
 from .oracle import QuadratureDivergenceError, apply_numeric, compare, mellin_numeric
@@ -80,6 +81,25 @@ def _int_at_least(lo: int):
 
     parse.__name__ = "int"   # argparse names the type in "invalid int value"
     return parse
+
+
+def _positive_float(text: str) -> float:
+    """An argparse type: a finite float > 0, else a usage error (exit 2)."""
+    x = float(text)
+    if not (0 < x < math.inf):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return x
+
+
+_positive_float.__name__ = "float"
+
+
+def _lemma_tag(text: str) -> str:
+    """An argparse type: a tag that reproduce_lemma knows, else a usage error."""
+    try:
+        return check_lemma_tag(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _bindings(args) -> dict:
@@ -298,12 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(body=_cmd_derive)
 
     p = sub.add_parser("verify-paper", help="re-derive the published formulas and diff")
-    p.add_argument("--tags", nargs="*", help="restrict to these lemma tags")
+    p.add_argument("--tags", nargs="*", type=_lemma_tag, help="restrict to these lemma tags")
     p.set_defaults(body=_cmd_verify_paper)
 
     p = sub.add_parser("oracle-check", help="randomized engine-vs-quadrature battery")
-    p.add_argument("--cases", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--cases", type=_int_at_least(1), default=100)
+    p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--bind", type=_parse_binding, action="append", metavar="NAME=A+BI")
     p.set_defaults(body=_cmd_oracle_check)

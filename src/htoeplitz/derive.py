@@ -489,6 +489,30 @@ def _satisfies(eq: FunctionalEquation, phi: RadialFunction) -> bool:
     return F - eq.G == RationalFn.const(Coeff.indet(eq.unknown_name))
 
 
+PRINTED_LEMMA_TAGS = ("4.1", "R4.2", "f0", "f-1", "f-2", "f-3", "f-4")
+
+
+def _induction_degree(tag: str) -> Optional[int]:
+    """k of a tag 'induction(k)' with an integer k, else None."""
+    if tag.startswith("induction(") and tag.endswith(")"):
+        try:
+            return int(tag[len("induction("):-1])
+        except ValueError:
+            return None
+    return None
+
+
+def check_lemma_tag(tag: str) -> str:
+    """Return tag if ``reproduce_lemma`` knows it, else raise ValueError."""
+    k = _induction_degree(tag)
+    if tag in PRINTED_LEMMA_TAGS or (k is not None and k >= 2):
+        return tag
+    raise ValueError(
+        f"unknown lemma tag {tag!r}: expected one of {', '.join(PRINTED_LEMMA_TAGS)} "
+        "or induction(k) with an integer k >= 2"
+    )
+
+
 def _lemma_setup(tag: str, printed: Dict[str, RadialFunction]):
     """(L, g, side, known components) of one printed derivation step.
 
@@ -502,10 +526,8 @@ def _lemma_setup(tag: str, printed: Dict[str, RadialFunction]):
     def main_theorem(k):
         return {**tops(1, 0), **{-l: _r(C_(1) * abar_(l), l) for l in range(1, k)}}
 
-    if tag.startswith("induction(") and tag.endswith(")"):
-        k = int(tag[len("induction("):-1])
-        if k < 2:
-            raise ValueError("induction tag requires k >= 2")
+    k = _induction_degree(check_lemma_tag(tag))
+    if k is not None:
         return k, -k, CONJUGATE, main_theorem(k)
     upper = {**tops(3, 2), 1: printed["R4.2"]}
     f3 = main_theorem(3)
@@ -519,8 +541,6 @@ def _lemma_setup(tag: str, printed: Dict[str, RadialFunction]):
         "f-3": (3, -3, CONJUGATE, f3),
         "f-4": (4, -4, CONJUGATE, main_theorem(4)),
     }
-    if tag not in table:
-        raise ValueError(f"unknown lemma tag {tag!r}")
     return table[tag]
 
 
@@ -558,5 +578,5 @@ def reproduce_lemma(tag: str) -> LemmaReport:
     )
 
 
-ALL_LEMMA_TAGS = ["4.1", "R4.2", "f0", "f-1", "f-2", "f-3", "f-4",
+ALL_LEMMA_TAGS = [*PRINTED_LEMMA_TAGS,
                   "induction(5)", "induction(6)", "induction(7)", "induction(8)"]

@@ -48,14 +48,17 @@ def is_constant_name(name: str) -> bool:
     return name.startswith("C")
 
 
+_FRACTION_ZERO = Fraction(0)
+
+
 class GaussianRational:
     """A complex number with exact rational real and imaginary parts."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -68,6 +71,8 @@ class GaussianRational:
 
     def __add__(self, other):
         other = GaussianRational.coerce(other)
+        if not self.im and not other.im:   # real + real: one Fraction sum
+            return GaussianRational(self.re + other.re, _FRACTION_ZERO)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -83,6 +88,8 @@ class GaussianRational:
 
     def __mul__(self, other):
         other = GaussianRational.coerce(other)
+        if not self.im and not other.im:   # real * real: one Fraction product
+            return GaussianRational(self.re * other.re, _FRACTION_ZERO)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -114,7 +121,7 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.re or self.im)
 
     def conj(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -148,6 +155,8 @@ def _mono_key(m: Monomial):
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    if not a or not b:
+        return a or b
     d = dict(a)
     for name, e in b:
         d[name] = d.get(name, 0) + e
@@ -202,7 +211,7 @@ class Coeff:
         other = Coeff.coerce(other)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, ZERO) + c
+            terms[mono] = terms[mono] + c if mono in terms else c
         return Coeff(terms)
 
     __radd__ = __add__
@@ -222,7 +231,8 @@ class Coeff:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = _mono_mul(ma, mb)
-                terms[m] = terms.get(m, ZERO) + ca * cb
+                c = ca * cb
+                terms[m] = terms[m] + c if m in terms else c
         return Coeff(terms)
 
     __rmul__ = __mul__

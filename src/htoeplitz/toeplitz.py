@@ -266,18 +266,46 @@ def _check_integrable(f: Symbol) -> None:
             raise NonIntegrableSymbolError(k, a, b)
 
 
+def _column(sym: Symbol, memo: dict, v: BasisVector) -> HarmonicVector:
+    """T_sym e_v, computed once per memo (one memo per symbol)."""
+    col = memo.get(v)
+    if col is None:
+        col = HarmonicVector.zero
+        for k, phi in sym.components.items():
+            col = col + apply_quasi(k, phi, v)
+        memo[v] = col
+    return col
+
+
+def _apply_columns(sym: Symbol, memo: dict, w: HarmonicVector) -> HarmonicVector:
+    """T_sym w as the combination sum_v w[v] * T_sym e_v of memoized columns."""
+    acc: Dict[BasisVector, Coeff] = {}
+    for v, c in w.entries.items():
+        for x, y in _column(sym, memo, v).entries.items():
+            y = y * c
+            acc[x] = acc[x] + y if x in acc else y
+    return HarmonicVector(acc)
+
+
 def apply_symbol(f: Symbol, w: HarmonicVector) -> HarmonicVector:
     _check_integrable(f)
-    out = HarmonicVector.zero
-    for k, phi in f.components.items():
-        for v, c in w.entries.items():
-            out = out + apply_quasi(k, phi, v).scale(c)
-    return out
+    return _apply_columns(f, {}, w)
+
+
+def _residual(f: Symbol, u: Symbol, f_cols: dict, u_cols: dict, v: BasisVector) -> HarmonicVector:
+    """[T_f, T_u] e_v = sum_m U[m,v] T_f e_m - sum_m F[m,v] T_u e_m.
+
+    ``f_cols`` and ``u_cols`` memoize the columns of T_f and T_u; residuals
+    at neighbouring v share most of them.
+    """
+    return (_apply_columns(f, f_cols, _column(u, u_cols, v))
+            - _apply_columns(u, u_cols, _column(f, f_cols, v)))
 
 
 def commutator_residual(f: Symbol, u: Symbol, v: BasisVector) -> HarmonicVector:
-    w = HarmonicVector.basis(v)
-    return apply_symbol(f, apply_symbol(u, w)) - apply_symbol(u, apply_symbol(f, w))
+    _check_integrable(u)
+    _check_integrable(f)
+    return _residual(f, u, {}, {}, v)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +437,8 @@ def verify_commute(f: Symbol, u: Symbol, n_max: int) -> CommutationReport:
     Generic residuals (rational in n) cover every index n >= n0*, where
     n0* = K_f + K_u + 1 exceeds any index at which a below-threshold branch
     can contribute to either composition; concrete residuals cover all
-    indices up to max(n_max, n0*).
+    indices up to max(n_max, n0*).  Each column T_f e_m and T_u e_m is
+    computed once per call and shared by the residuals that need it.
     """
     _check_integrable(f)
     _check_integrable(u)
@@ -424,15 +453,11 @@ def verify_commute(f: Symbol, u: Symbol, n_max: int) -> CommutationReport:
             if not fn.is_zero():
                 nonzero.append((side, d))
     top = max(n_max, n_star)
+    f_cols: dict = {}
+    u_cols: dict = {}
     witnesses = []
-    for n in range(0, top + 1):
-        v = z_vec(n)
-        res = commutator_residual(f, u, v)
-        if not res.is_zero():
-            witnesses.append((v, res))
-    for n in range(1, top + 1):
-        v = zbar_vec(n)
-        res = commutator_residual(f, u, v)
+    for v in [z_vec(n) for n in range(0, top + 1)] + [zbar_vec(n) for n in range(1, top + 1)]:
+        res = _residual(f, u, f_cols, u_cols, v)
         if not res.is_zero():
             witnesses.append((v, res))
     return CommutationReport(

@@ -205,3 +205,45 @@ def test_out_of_range_flag_is_usage_error(capsys, command, flag, bound):
     assert f"argument {flag}: must be >= {bound}, got {bound - 1}" in capsys.readouterr().err
     # the first valid value runs: exit 0 or a mathematical verdict, not a usage error
     assert main(argv_with(bound)) in (0, 1)
+
+
+@pytest.mark.parametrize("tag", ["foo", "induction(1)", "induction(x)", "induction()", "f-5"])
+def test_unknown_lemma_tag_is_usage_error(capsys, tag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-paper", "--tags", "f0", tag])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument --tags: unknown lemma tag {tag!r}" in captured.err
+
+
+def test_lowest_induction_tag_runs(capsys):
+    code, report = run_json(capsys, "verify-paper", "--tags", "induction(2)")
+    assert code == 0
+    assert [e["tag"] for e in report["result"]["lemmas"]] == ["induction(2)"]
+
+
+@pytest.mark.parametrize(
+    "flag, bad, message, first_valid",
+    [
+        ("--cases", "0", "must be >= 1, got 0", "1"),
+        ("--cases", "-3", "must be >= 1, got -3", "1"),
+        ("--tol", "0", "must be finite and > 0, got 0", "5e-324"),
+        ("--tol", "-1e-9", "must be finite and > 0, got -1e-9", "5e-324"),
+        ("--tol", "nan", "must be finite and > 0, got nan", "5e-324"),
+        ("--tol", "inf", "must be finite and > 0, got inf", "1.7976931348623157e308"),
+    ],
+)
+def test_oracle_check_range_is_usage_error(capsys, flag, bad, message, first_valid):
+    def argv_with(value):
+        # "--flag=value", so that a negative value is not read as a flag
+        opts = {"--cases": "2", "--tol": "1e-9", flag: value}
+        return ["oracle-check"] + [f"{k}={v}" for k, v in opts.items()]
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv_with(bad))
+    assert exc.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    code, report = run_json(capsys, *argv_with(first_valid))
+    assert code in (0, 1)
+    assert report["result"][flag[2:]] == float(first_valid)

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from htoeplitz import C, Coeff, GaussianRational, UnboundIndeterminateError, abar
 from htoeplitz.exactalg import aname, cname, indet_key, is_constant_name
 
-from .conftest import coeffs, gaussians
+from .conftest import coeffs, fractions, gaussians
 
 
 def test_names():
@@ -97,3 +98,30 @@ def test_coeff_output_independent_of_insertion_order():
     assert a == b
     assert str(a) == str(b) == "C2*abar1 + C2*abar1^2"
     assert a.to_json() == b.to_json()
+
+
+@st.composite
+def _real_or_complex(draw, complex_):
+    im = draw(fractions().filter(bool)) if complex_ else 0
+    return GaussianRational(draw(fractions()), im)
+
+
+@given(st.sampled_from([(False, False), (False, True), (True, False), (True, True)]), st.data())
+def test_gaussian_add_mul_match_four_product_formula(kinds, data):
+    # the real-axis fast path must agree with the general formula on every mix
+    a = data.draw(_real_or_complex(kinds[0]))
+    b = data.draw(_real_or_complex(kinds[1]))
+    for got, re, im in (
+        (a + b, a.re + b.re, a.im + b.im),
+        (a * b, a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re),
+    ):
+        assert (got.re, got.im) == (re, im)
+        assert type(got.re) is Fraction and type(got.im) is Fraction
+
+
+def test_gaussian_parts_are_fractions():
+    x = Fraction(3, 4)
+    g = GaussianRational(x, 2)
+    assert g.re is x
+    assert type(g.im) is Fraction and g.im == 2
+    assert type(GaussianRational(True).re) is Fraction

@@ -24,6 +24,12 @@ CASES = {
     "derive-L2": ["derive", "--L", "2", "--N", "3", "--K", "4"],
     "derive-restart": ["derive", "--L", "1", "--N", "5", "--K", "4"],
     "verify-nonzero": ["verify", "--f", "z^2", "--u", "z+abar1*conj(z)", "--nmax", "8"],
+    "verify-nonzero-L3": [
+        "verify",
+        "--f", "2*(z + abar1*conj(z) + abar2*conj(z)^2 + abar3*conj(z)^3) + 1 - 1/2*e(2)*r^3",
+        "--u", "z+abar1*conj(z)+abar2*conj(z)^2+abar3*conj(z)^3",
+        "--nmax", "20",
+    ],
     "mellin": ["mellin", "r^4*ln(r)"],
     "invmellin": ["invmellin", "(z+2)/(z^2+6*z+8)"],
     "apply": ["apply", "--f", "e(3)*r^3", "--v", "z"],

@@ -26,7 +26,7 @@ from htoeplitz import (
 )
 from htoeplitz.toeplitz import apply_generic, compose_generic, generic_residual
 
-from .conftest import radial_functions
+from .conftest import coeffs, radial_functions
 
 
 def test_basis_canonicalization():
@@ -198,3 +198,42 @@ def test_non_integrable_symbols_are_refused():
     assert "e(-1)" in str(exc.value) and "r^-2*ln(r)" in str(exc.value)
     with pytest.raises(NonIntegrableSymbolError):
         verify_commute(bad, u_symbol(1), 4)
+
+
+def _apply_direct(f, w):
+    """T_f w term by term, every column rebuilt: the reference for the memoized path."""
+    out = HarmonicVector.zero
+    for k, phi in f.components.items():
+        for v, c in w.entries.items():
+            out = out + apply_quasi(k, phi, v).scale(c)
+    return out
+
+
+@st.composite
+def _symbols_against_u(draw):
+    """(f, u) with u = u_symbol(L), L <= 3; f is c1*u + c0 (commuting) or random."""
+    L = draw(st.integers(0, 3))
+    u = u_symbol(L)
+    if draw(st.booleans()):
+        c1, c0 = draw(coeffs()), draw(coeffs())
+        return u.scale(c1) + Symbol.quasi(0, RadialFunction.term(c0, 0)), u
+    comps = {}
+    for k in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True)):
+        comps[k] = draw(radial_functions(a_min=-1, a_max=4, b_max=1))
+    return Symbol(comps), u
+
+
+@given(_symbols_against_u(), st.integers(0, 4))
+@settings(deadline=None, max_examples=40)
+def test_verify_commute_witnesses_match_direct_formula(fu, n_max):
+    f, u = fu
+    report = verify_commute(f, u, n_max)
+    top = max(n_max, report.threshold)
+    expected = []
+    for v in [z_vec(n) for n in range(top + 1)] + [zbar_vec(n) for n in range(1, top + 1)]:
+        e_v = HarmonicVector.basis(v)
+        res = _apply_direct(f, _apply_direct(u, e_v)) - _apply_direct(u, _apply_direct(f, e_v))
+        assert commutator_residual(f, u, v) == res
+        if not res.is_zero():
+            expected.append((v, res))
+    assert report.witnesses == expected
