@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .derive import ALL_LEMMA_TAGS, check_lemma_tag, reproduce_lemma, run_pipeline
-from .exactalg import Coeff, GaussianRational
+from .exactalg import Coeff, GaussianRational, indet_key
 from .mellin import MellinInversionError, inverse_mellin, mellin
 from .oracle import QuadratureDivergenceError, apply_numeric, compare, mellin_numeric
 from .parser import (
@@ -61,14 +61,22 @@ def _report(command, inputs, result, warnings=(), ok=True):
 
 
 def _parse_binding(text: str):
+    """An argparse type: NAME=A+BI with NAME an indeterminate (Ck, Cmk, abarl)."""
     name, _, val = text.partition("=")
+    name = name.strip()
     if not name or not val:
         raise argparse.ArgumentTypeError(f"binding must look like name=a+bi, got {text!r}")
+    try:
+        indet_key(name)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{name!r} is not an indeterminate (Ck, Cmk or abarl)"
+        ) from None
     try:
         z = complex(val.replace("i", "j"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot read {val!r} as a complex number") from None
-    return name.strip(), z
+    return name, z
 
 
 def _int_at_least(lo: int):
@@ -222,9 +230,11 @@ def _cmd_oracle_check(args):
     bindings = _bindings(args)
     failures = []
     worst = 0.0
+    used = set()
     for case in range(args.cases):
         k = rng.randint(-4, 4)
         phi = _random_radial(rng)
+        used |= phi.indeterminates()
         n = rng.randint(0, 8)
         side = rng.choice([ANALYTIC, CONJUGATE])
         v = BasisVector(side, n)
@@ -260,7 +270,10 @@ def _cmd_oracle_check(args):
         f"max engine/oracle difference: {worst:.3e} (tolerance {args.tol:g})",
         f"failures: {len(failures)}",
     ]
-    return result, [], ok, lines
+    warnings = [
+        f"--bind {name}: no case uses this indeterminate" for name in bindings if name not in used
+    ]
+    return result, warnings, ok, lines
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from typing import Dict, Mapping
 
-from scipy.integrate import quad
-
 from .radial import RadialFunction
 from .toeplitz import ANALYTIC, BasisVector, HarmonicVector, z_vec, zbar_vec
 
@@ -26,6 +24,7 @@ class QuadratureDivergenceError(ArithmeticError):
 
 QUAD_TOL = 1e-12          # absolute and relative tolerance of each quad call
 QUAD_SUBDIVISIONS = 200   # quad's subinterval limit
+QUAD_MAX_ERR = 1e-8       # largest error estimate accepted as converged
 
 
 def mellin_numeric(
@@ -34,6 +33,9 @@ def mellin_numeric(
     bindings: Mapping[str, complex] | None = None,
 ) -> complex:
     """Quadrature value of int_0^1 p(r) r^{s-1} dr, termwise in t = -ln r."""
+    # scipy costs most of a cold start, and only quadrature needs it
+    from scipy.integrate import quad
+
     bindings = bindings or {}
     total = 0j
     for (a, b), c in p.terms.items():
@@ -51,7 +53,7 @@ def mellin_numeric(
             epsrel=QUAD_TOL,
             limit=QUAD_SUBDIVISIONS,
         )
-        if err > 1e-8:
+        if err > QUAD_MAX_ERR:
             raise QuadratureDivergenceError(
                 f"quadrature failed to converge (error estimate {err:g})"
             )

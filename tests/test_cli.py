@@ -247,3 +247,19 @@ def test_oracle_check_range_is_usage_error(capsys, flag, bad, message, first_val
     code, report = run_json(capsys, *argv_with(first_valid))
     assert code in (0, 1)
     assert report["result"][flag[2:]] == float(first_valid)
+
+
+def test_oracle_check_bind_refuses_unknown_name(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-check", "--cases", "2", "--bind", "foo=1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "argument --bind: 'foo' is not an indeterminate" in captured.err
+
+
+def test_oracle_check_bind_warns_when_no_case_uses_it(capsys):
+    code, report = run_json(capsys, "oracle-check", "--cases", "2", "--bind", "abar1=0.3")
+    assert code == 0
+    assert report["inputs"]["bind"] == {"abar1": [0.3, 0.0]}
+    assert report["warnings"] == ["--bind abar1: no case uses this indeterminate"]
