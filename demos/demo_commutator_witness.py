@@ -6,12 +6,11 @@ all indices at once by the generic rational-in-n residual.
 
 from htoeplitz import (
     Symbol,
+    basis_label,
     parse_symbol_expr,
     u_symbol,
     commutator_residual,
     verify_commute,
-    z_vec,
-    zbar_vec,
 )
 
 u = u_symbol(1)
@@ -21,9 +20,10 @@ print(f"f = {f}")
 print()
 
 print("residuals [T_f, T_u] v on low basis vectors:")
-for v in [z_vec(0), z_vec(1), z_vec(2), zbar_vec(1), zbar_vec(2)]:
-    res = commutator_residual(f, u, v)
-    print(f"  v = {v.label():<7} ->  {res}")
+# basis vectors by signed index: 1, z, z^2, zbar, zbar^2
+for m in [0, 1, 2, -1, -2]:
+    res = commutator_residual(f, u, m)
+    print(f"  v = {basis_label(m):<7} ->  {res}")
 
 report = verify_commute(f, u, n_max=8)
 print()

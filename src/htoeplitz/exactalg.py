@@ -15,7 +15,8 @@ from typing import Iterable, Mapping, Union
 
 Rat = Union[int, Fraction]
 
-_NAME_RE = _re.compile(r"^(?:C(?P<cpos>\d+)|Cm(?P<cneg>\d+)|abar(?P<abar>[1-9]\d*))$")
+# only the spellings cname and aname produce: no leading zeros, no Cm0
+_NAME_RE = _re.compile(r"^(?:C(?P<cpos>0|[1-9]\d*)|Cm(?P<cneg>[1-9]\d*)|abar(?P<abar>[1-9]\d*))$")
 
 
 def cname(k: int) -> str:
@@ -328,15 +329,6 @@ class Coeff:
             {"monomial": [[n, e] for n, e in mono], "re": str(c.re), "im": str(c.im)}
             for mono, c in sorted(self.terms.items(), key=lambda it: _mono_key(it[0]))
         ]
-
-    @staticmethod
-    def from_json(data) -> "Coeff":
-        terms = {}
-        for entry in data:
-            mono = tuple(sorted(((n, e) for n, e in entry["monomial"]),
-                                key=lambda it: indet_key(it[0])))
-            terms[mono] = GaussianRational(Fraction(entry["re"]), Fraction(entry["im"]))
-        return Coeff(terms)
 
 
 def render_sum(parts: Iterable[str]) -> str:

@@ -4,9 +4,9 @@ Mellin values come from adaptive quadrature after the substitution
 t = -ln r, which turns every r^a (ln r)^b factor into a damped exponential
 (-t)^b e^{-(s+a)t} on [0, oo) and removes the endpoint singularity
 analytically.  Operator actions are computed by projecting onto the
-orthogonal basis {1, z^m, zbar^m}: the angular integral is a Kronecker
-delta done exactly, the radial integral is quadrature.  No branch logic
-from the symbolic engine is reused.
+orthogonal basis e_m = r^|m| e^{im theta}: the angular integral is a
+Kronecker delta done exactly, the radial integral is quadrature.  Nothing
+from the exact Mellin layer is reused.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from typing import Dict, Mapping
 
 from .radial import RadialFunction
-from .toeplitz import ANALYTIC, BasisVector, HarmonicVector, z_vec, zbar_vec
+from .toeplitz import HarmonicVector, basis_label
 
 
 class QuadratureDivergenceError(ArithmeticError):
@@ -64,29 +64,23 @@ def mellin_numeric(
 def apply_numeric(
     k: int,
     phi: RadialFunction,
-    v: BasisVector,
+    m: int,
     bindings: Mapping[str, complex] | None = None,
-) -> Dict[BasisVector, complex]:
-    """Toeplitz action of e^{ik theta} phi on v, by basis projection.
+) -> Dict[int, complex]:
+    """Toeplitz action of e^{ik theta} phi on e_m, by basis projection.
 
-    The product symbol times basis vector has angular index m + k where
-    m is v's signed angular index; projection onto the basis vector with
-    that index has coefficient 2(|j|+1) int_0^1 phi r^{|m|+|j|+1} dr.
+    The product symbol times basis vector has angular index j = m + k;
+    its projection onto e_j has coefficient 2(|j|+1) int_0^1 phi
+    r^{|m|+|j|+1} dr, here a quadrature value.
     """
-    m = v.n if v.side == ANALYTIC else -v.n
     j = m + k
     s = abs(m) + abs(j) + 2
-    val = 2 * (abs(j) + 1) * mellin_numeric(phi, float(s), bindings)
-    if j >= 0:
-        out = z_vec(j)
-    else:
-        out = zbar_vec(-j)
-    return {out: val}
+    return {j: 2 * (abs(j) + 1) * mellin_numeric(phi, float(s), bindings)}
 
 
 def compare(
     symbolic: HarmonicVector,
-    numeric: Mapping[BasisVector, complex],
+    numeric: Mapping[int, complex],
     bindings: Mapping[str, complex] | None = None,
     tol: float = 1e-9,
 ) -> dict:
@@ -94,15 +88,15 @@ def compare(
     bindings = bindings or {}
     keys = set(symbolic.entries) | set(numeric)
     worst_key, worst = None, 0.0
-    for v in keys:
-        sym = symbolic.entries[v].bind(bindings) if v in symbolic.entries else 0j
-        num = numeric.get(v, 0j)
+    for m in keys:
+        sym = symbolic.entries[m].bind(bindings) if m in symbolic.entries else 0j
+        num = numeric.get(m, 0j)
         d = abs(sym - num)
         if d > worst:
-            worst_key, worst = v, d
+            worst_key, worst = m, d
     return {
         "ok": worst <= tol,
         "max_diff": worst,
-        "worst_entry": worst_key.label() if worst_key is not None else None,
+        "worst_entry": basis_label(worst_key) if worst_key is not None else None,
         "tol": tol,
     }

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .exactalg import Coeff, GaussianRational, indet_key
 from .radial import RadialFunction
 from .ratfun import Poly, RationalFn
-from .toeplitz import ANALYTIC, CONJUGATE, BasisVector, Symbol
+from .toeplitz import Symbol
 
 
 class ParseError(ValueError):
@@ -55,10 +55,33 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Tokens and the shared rules; a subclass supplies ``parse_term``."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+
+    def parse(self):
+        out = self.parse_expr()
+        kind, val, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {val!r}", pos)
+        return out
+
+    def parse_expr(self):
+        if self.peek()[1] == "-":
+            self.next()
+            out = -self.parse_term()
+        else:
+            if self.peek()[1] == "+":
+                self.next()
+            out = self.parse_term()
+        while self.peek()[1] in ("+", "-"):
+            op = self.next()[1]
+            term = self.parse_term()
+            out = out + term if op == "+" else out - term
+        return out
 
     def peek(self):
         return self.tokens[self.i]
@@ -151,27 +174,6 @@ def _const_symbol(c) -> Symbol:
 
 
 class _SymbolParser(_Parser):
-    def parse(self) -> Symbol:
-        out = self.parse_expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {val!r}", pos)
-        return out
-
-    def parse_expr(self) -> Symbol:
-        if self.peek()[1] == "-":
-            self.next()
-            out = -self.parse_term()
-        else:
-            if self.peek()[1] == "+":
-                self.next()
-            out = self.parse_term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            term = self.parse_term()
-            out = out + term if op == "+" else out - term
-        return out
-
     def parse_term(self) -> Symbol:
         out = self.parse_factor()
         while self.peek()[1] == "*":
@@ -268,16 +270,16 @@ def parse_radial_expr(text: str) -> RadialFunction:
     return sym.components.get(0, RadialFunction.zero)
 
 
-def parse_basis_vector(text: str) -> BasisVector:
+def parse_basis_vector(text: str) -> int:
+    """The signed index m of the basis vector e_m: 1 -> 0, z^n -> n, zbar^n -> -n."""
     t = text.strip()
     if t == "1":
-        return BasisVector(ANALYTIC, 0)
+        return 0
     m = re.fullmatch(r"(z|zbar)(?:\^(\d+))?", t)
     if m is None:
         raise ParseError("expected a basis vector like 1, z^3 or zbar^2", 0)
     n = int(m.group(2) or 1)
-    side = ANALYTIC if m.group(1) == "z" else CONJUGATE
-    return BasisVector(side, n)
+    return n if m.group(1) == "z" else -n
 
 
 # ---------------------------------------------------------------------------
@@ -293,27 +295,6 @@ def _divide(a: RationalFn, b: RationalFn, pos: int) -> RationalFn:
 
 
 class _RatParser(_Parser):
-    def parse(self) -> RationalFn:
-        out = self.parse_expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {val!r}", pos)
-        return out
-
-    def parse_expr(self) -> RationalFn:
-        if self.peek()[1] == "-":
-            self.next()
-            out = -self.parse_term()
-        else:
-            if self.peek()[1] == "+":
-                self.next()
-            out = self.parse_term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            term = self.parse_term()
-            out = out + term if op == "+" else out - term
-        return out
-
     def parse_term(self) -> RationalFn:
         out = self.parse_power()
         while self.peek()[1] in ("*", "/"):

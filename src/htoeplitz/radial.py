@@ -150,11 +150,5 @@ class RadialFunction:
             for (a, b), c in sorted(self.terms.items(), key=lambda it: (-it[0][0], it[0][1]))
         ]
 
-    @staticmethod
-    def from_json(data) -> "RadialFunction":
-        return RadialFunction(
-            {(Fraction(e["a"]), e["b"]): Coeff.from_json(e["coeff"]) for e in data}
-        )
-
 
 RadialFunction.zero = RadialFunction()

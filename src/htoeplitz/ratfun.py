@@ -178,10 +178,6 @@ class Poly:
     def to_json(self):
         return [c.to_json() for c in self.coeffs]
 
-    @staticmethod
-    def from_json(data) -> "Poly":
-        return Poly([Coeff.from_json(c) for c in data])
-
 
 def _acc(out: dict, key: Pole, c: Coeff) -> None:
     out[key] = out[key] + c if key in out else c
@@ -471,13 +467,6 @@ class RationalFn:
             "num": self.num.to_json(),
             "den": [{"q": str(q), "m": m} for q, m in sorted(self.den.items())],
         }
-
-    @staticmethod
-    def from_json(data) -> "RationalFn":
-        return RationalFn(
-            Poly.from_json(data["num"]),
-            {Fraction(e["q"]): e["m"] for e in data["den"]},
-        )
 
 
 def _rational_root(p: Poly) -> Fraction | None:

@@ -1,11 +1,12 @@
 """Symbols, the harmonic basis, Toeplitz application, and commutator checks.
 
 The harmonic Bergman space of the unit disk has orthogonal basis
-{1, z^n, zbar^n}.  A quasihomogeneous symbol e^{ik theta} phi(r) acts on a
-basis vector through one of four branches, each a multiple of a Mellin value
-of phi.  ``GenericAction`` packages the "for every n at once" form of that
-action as rational functions of the basis index, with validity thresholds;
-below-threshold indices are always handled concretely.
+e_m = r^|m| e^{im theta}, m an integer: 1 = e_0, z^n = e_n, zbar^n = e_{-n}.
+A basis vector is its signed index m.  A quasihomogeneous symbol
+e^{ik theta} phi(r) maps e_m to a multiple of e_{m+k}, the multiple being one
+Mellin value of phi.  ``apply_generic`` gives the "for every n at once" form
+of that action on one side, as rational functions of the basis index with
+validity thresholds; below-threshold indices are always handled concretely.
 """
 
 from __future__ import annotations
@@ -22,58 +23,25 @@ ANALYTIC = "analytic"
 CONJUGATE = "conjugate"
 
 
-class BasisVector:
-    """z^n (analytic, n >= 0) or zbar^n (conjugate, n >= 1); (analytic, 0) is 1."""
-
-    __slots__ = ("side", "n")
-
-    def __init__(self, side: str, n: int):
-        if side not in (ANALYTIC, CONJUGATE):
-            raise ValueError(f"unknown side {side!r}")
-        if n < 0:
-            raise ValueError("basis index must be >= 0")
-        if side == CONJUGATE and n == 0:
-            side = ANALYTIC  # the constant function is stored once
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BasisVector is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BasisVector)
-            and self.side == other.side
-            and self.n == other.n
-        )
-
-    def __hash__(self):
-        return hash((self.side, self.n))
-
-    def label(self) -> str:
-        if self.n == 0:
-            return "1"
-        stem = "z" if self.side == ANALYTIC else "zbar"
-        return stem if self.n == 1 else f"{stem}^{self.n}"
-
-    def __repr__(self):
-        return f"BasisVector({self.label()})"
+def basis_label(m: int) -> str:
+    """Label of e_m: 1 for m = 0, z^m for m > 0, zbar^|m| for m < 0."""
+    if m == 0:
+        return "1"
+    stem = "z" if m > 0 else "zbar"
+    return stem if abs(m) == 1 else f"{stem}^{abs(m)}"
 
 
-def z_vec(n: int) -> BasisVector:
-    return BasisVector(ANALYTIC, n)
-
-
-def zbar_vec(n: int) -> BasisVector:
-    return BasisVector(CONJUGATE, n)
+def basis_order(m: int):
+    """Sort key of the reports: 1, z, z^2, ..., then zbar, zbar^2, ..."""
+    return (m < 0, abs(m))
 
 
 class HarmonicVector:
-    """Finite Coeff-linear combination of basis vectors."""
+    """Finite Coeff-linear combination of basis vectors e_m, keyed by m."""
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: Mapping[BasisVector, Coeff] | None = None):
+    def __init__(self, entries: Mapping[int, Coeff] | None = None):
         clean = {}
         for v, c in (entries or {}).items():
             c = Coeff.coerce(c)
@@ -85,8 +53,8 @@ class HarmonicVector:
         raise AttributeError("HarmonicVector is immutable")
 
     @staticmethod
-    def basis(v: BasisVector, c=1) -> "HarmonicVector":
-        return HarmonicVector({v: Coeff.coerce(c)})
+    def basis(m: int, c=1) -> "HarmonicVector":
+        return HarmonicVector({m: Coeff.coerce(c)})
 
     zero: "HarmonicVector"
 
@@ -115,20 +83,16 @@ class HarmonicVector:
         return self.entries == other.entries
 
     def __str__(self):
-        def key(v):
-            return (0, v.n) if v.side == ANALYTIC else (1, v.n)
         return render_sum(
-            render_term(self.entries[v], v.label() if v.n else "")
-            for v in sorted(self.entries, key=key)
+            render_term(self.entries[m], basis_label(m) if m else "")
+            for m in sorted(self.entries, key=basis_order)
         )
 
     def __repr__(self):
         return f"HarmonicVector<{self}>"
 
     def to_json(self):
-        def key(v):
-            return (0, v.n) if v.side == ANALYTIC else (1, v.n)
-        return {v.label(): str(self.entries[v]) for v in sorted(self.entries, key=key)}
+        return {basis_label(m): str(self.entries[m]) for m in sorted(self.entries, key=basis_order)}
 
 
 HarmonicVector.zero = HarmonicVector()
@@ -219,26 +183,16 @@ def u_symbol(L: int) -> Symbol:
 # concrete application
 
 
-def apply_quasi(k: int, phi: RadialFunction, v: BasisVector) -> HarmonicVector:
-    """Action of the Toeplitz operator with symbol e^{ik theta} phi on v.
+def apply_quasi(k: int, phi: RadialFunction, m: int) -> HarmonicVector:
+    """Action of the Toeplitz operator with symbol e^{ik theta} phi on e_m.
 
-    Four branches; the two below-threshold branches land on the opposite
-    side with a Mellin value at a fixed (n-independent) argument.  Each
-    branch needs a single Mellin value of phi, read pointwise by
-    ``mellin_at`` rather than from the whole transform.
+    The product lies in angular degree m + k, and its projection onto
+    e_{m+k} is T e_m = 2(|m+k|+1) phihat(|m|+|m+k|+2) e_{m+k}: one Mellin
+    value of phi, read pointwise by ``mellin_at`` rather than from the whole
+    transform.
     """
-    n = v.n
-    if v.side == ANALYTIC:
-        if n >= -k:
-            c = mellin_at(phi, 2 * n + k + 2).scale(2 * (n + k + 1))
-            return HarmonicVector({z_vec(n + k): c})
-        c = mellin_at(phi, -k + 2).scale(2 * (-n - k + 1))
-        return HarmonicVector({zbar_vec(-n - k): c})
-    if n >= k:
-        c = mellin_at(phi, 2 * n - k + 2).scale(2 * (n - k + 1))
-        return HarmonicVector({zbar_vec(n - k): c})
-    c = mellin_at(phi, k + 2).scale(2 * (k - n + 1))
-    return HarmonicVector({z_vec(k - n): c})
+    j = abs(m + k)
+    return HarmonicVector({m + k: mellin_at(phi, abs(m) + j + 2).scale(2 * (j + 1))})
 
 
 class NonIntegrableSymbolError(ValueError):
@@ -266,22 +220,22 @@ def _check_integrable(f: Symbol) -> None:
             raise NonIntegrableSymbolError(k, a, b)
 
 
-def _column(sym: Symbol, memo: dict, v: BasisVector) -> HarmonicVector:
-    """T_sym e_v, computed once per memo (one memo per symbol)."""
-    col = memo.get(v)
+def _column(sym: Symbol, memo: dict, m: int) -> HarmonicVector:
+    """T_sym e_m, computed once per memo (one memo per symbol)."""
+    col = memo.get(m)
     if col is None:
         col = HarmonicVector.zero
         for k, phi in sym.components.items():
-            col = col + apply_quasi(k, phi, v)
-        memo[v] = col
+            col = col + apply_quasi(k, phi, m)
+        memo[m] = col
     return col
 
 
 def _apply_columns(sym: Symbol, memo: dict, w: HarmonicVector) -> HarmonicVector:
-    """T_sym w as the combination sum_v w[v] * T_sym e_v of memoized columns."""
-    acc: Dict[BasisVector, Coeff] = {}
-    for v, c in w.entries.items():
-        for x, y in _column(sym, memo, v).entries.items():
+    """T_sym w as the combination sum_m w[m] * T_sym e_m of memoized columns."""
+    acc: Dict[int, Coeff] = {}
+    for m, c in w.entries.items():
+        for x, y in _column(sym, memo, m).entries.items():
             y = y * c
             acc[x] = acc[x] + y if x in acc else y
     return HarmonicVector(acc)
@@ -292,52 +246,24 @@ def apply_symbol(f: Symbol, w: HarmonicVector) -> HarmonicVector:
     return _apply_columns(f, {}, w)
 
 
-def _residual(f: Symbol, u: Symbol, f_cols: dict, u_cols: dict, v: BasisVector) -> HarmonicVector:
-    """[T_f, T_u] e_v = sum_m U[m,v] T_f e_m - sum_m F[m,v] T_u e_m.
+def _residual(f: Symbol, u: Symbol, f_cols: dict, u_cols: dict, m: int) -> HarmonicVector:
+    """[T_f, T_u] e_m = sum_j U[j,m] T_f e_j - sum_j F[j,m] T_u e_j.
 
     ``f_cols`` and ``u_cols`` memoize the columns of T_f and T_u; residuals
-    at neighbouring v share most of them.
+    at neighbouring m share most of them.
     """
-    return (_apply_columns(f, f_cols, _column(u, u_cols, v))
-            - _apply_columns(u, u_cols, _column(f, f_cols, v)))
+    return (_apply_columns(f, f_cols, _column(u, u_cols, m))
+            - _apply_columns(u, u_cols, _column(f, f_cols, m)))
 
 
-def commutator_residual(f: Symbol, u: Symbol, v: BasisVector) -> HarmonicVector:
+def commutator_residual(f: Symbol, u: Symbol, m: int) -> HarmonicVector:
     _check_integrable(u)
     _check_integrable(f)
-    return _residual(f, u, {}, {}, v)
+    return _residual(f, u, {}, {}, m)
 
 
 # ---------------------------------------------------------------------------
 # generic (uniform in n) application
-
-
-class GenericAction:
-    """Map (input side fixed at build time) offset d -> (coeff_fn(n), n0).
-
-    Applying to basis index n on `side` contributes coeff_fn(n) at output
-    index n + d on the same side, valid for every n >= n0.  Indices below
-    the threshold must be handled concretely.
-    """
-
-    __slots__ = ("side", "entries")
-
-    def __init__(self, side: str, entries: Mapping[int, Tuple[RationalFn, int]]):
-        clean = {}
-        for d, (fn, n0) in entries.items():
-            if not fn.is_zero():
-                clean[int(d)] = (fn, int(n0))
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "entries", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GenericAction is immutable")
-
-    def __repr__(self):
-        items = ", ".join(
-            f"d={d}: ({fn.render('n')}, n>={n0})" for d, (fn, n0) in sorted(self.entries.items())
-        )
-        return f"GenericAction[{self.side}; {items}]"
 
 
 def _side_min(side: str) -> int:
@@ -359,25 +285,33 @@ def branch_z(side: str, k: int, phi: RadialFunction) -> RationalFn:
     return RationalFn(Poly([2 * d + 2, 1])) * mellin(phi).shift(d + 2)
 
 
-def apply_generic(f: Symbol, side: str) -> GenericAction:
-    """Generic form of T_f on one input side, above-threshold branches only."""
+def _nonzero(entries: dict) -> dict:
+    """The entries d -> (fn, n0) of a generic action whose fn is not zero."""
+    return {d: (fn, n0) for d, (fn, n0) in entries.items() if not fn.is_zero()}
+
+
+def apply_generic(f: Symbol, side: str) -> dict:
+    """Generic form of T_f on one input side, above-threshold branches only.
+
+    The map offset d -> (coeff_fn(n), n0): basis index n on `side` goes to
+    index n + d on the same side with coefficient coeff_fn(n), for every
+    n >= n0.  Indices below the threshold must be handled concretely.
+    """
     smin = _side_min(side)
     entries: Dict[int, Tuple[RationalFn, int]] = {}
     for k, phi in f.components.items():
         d = branch_offset(side, k)
         # valid while both n and n + d are indices on this side
         entries[d] = (branch_z(side, k, phi).affine_substitute(2, 0), max(smin, smin - d))
-    return GenericAction(side, entries)
+    return _nonzero(entries)
 
 
-def compose_generic(a: GenericAction, b: GenericAction) -> GenericAction:
-    """The generic action of (a after b): apply b first, then a."""
-    if a.side != b.side:
-        raise ValueError("generic composition requires a common side")
-    smin = _side_min(a.side)
+def compose_generic(a: dict, b: dict, side: str) -> dict:
+    """The generic action of (a after b) on one side: apply b first, then a."""
+    smin = _side_min(side)
     entries: Dict[int, Tuple[RationalFn, int]] = {}
-    for db, (fb, n0b) in b.entries.items():
-        for da, (fa, n0a) in a.entries.items():
+    for db, (fb, n0b) in b.items():
+        for da, (fa, n0a) in a.items():
             d = da + db
             fn = fb * fa.affine_substitute(1, db)
             n0 = max(n0b, n0a - db, smin - d)
@@ -386,21 +320,20 @@ def compose_generic(a: GenericAction, b: GenericAction) -> GenericAction:
                 entries[d] = (old_fn + fn, max(old_n0, n0))
             else:
                 entries[d] = (fn, n0)
-    return GenericAction(a.side, entries)
+    return _nonzero(entries)
 
 
-def generic_residual(f: Symbol, u: Symbol, side: str) -> GenericAction:
+def generic_residual(f: Symbol, u: Symbol, side: str) -> dict:
     """Generic entries of T_f T_u - T_u T_f on one input side."""
     af, au = apply_generic(f, side), apply_generic(u, side)
-    fu = compose_generic(af, au)   # T_f after T_u
-    uf = compose_generic(au, af)
+    fu = compose_generic(af, au, side)   # T_f after T_u
+    uf = compose_generic(au, af, side)
     entries: Dict[int, Tuple[RationalFn, int]] = {}
-    for d in set(fu.entries) | set(uf.entries):
-        f1, n1 = fu.entries.get(d, (RationalFn.zero, 0))
-        f2, n2 = uf.entries.get(d, (RationalFn.zero, 0))
-        diff = f1 - f2
-        entries[d] = (diff, max(n1, n2))
-    return GenericAction(side, entries)
+    for d in set(fu) | set(uf):
+        f1, n1 = fu.get(d, (RationalFn.zero, 0))
+        f2, n2 = uf.get(d, (RationalFn.zero, 0))
+        entries[d] = (f1 - f2, max(n1, n2))
+    return _nonzero(entries)
 
 
 @dataclass
@@ -426,7 +359,7 @@ class CommutationReport:
                 {"side": side, "offset": d} for side, d in self.generic_nonzero
             ],
             "witnesses": [
-                {"vector": v.label(), "residual": str(res)} for v, res in self.witnesses
+                {"vector": basis_label(m), "residual": str(res)} for m, res in self.witnesses
             ],
         }
 
@@ -448,18 +381,16 @@ def verify_commute(f: Symbol, u: Symbol, n_max: int) -> CommutationReport:
     for side in (ANALYTIC, CONJUGATE):
         ga = generic_residual(f, u, side)
         # re-anchor validity at the global threshold
-        generic[side] = {d: (fn, max(n0, n_star)) for d, (fn, n0) in ga.entries.items()}
-        for d, (fn, _n0) in generic[side].items():
-            if not fn.is_zero():
-                nonzero.append((side, d))
+        generic[side] = {d: (fn, max(n0, n_star)) for d, (fn, n0) in ga.items()}
+        nonzero.extend((side, d) for d in generic[side])
     top = max(n_max, n_star)
     f_cols: dict = {}
     u_cols: dict = {}
     witnesses = []
-    for v in [z_vec(n) for n in range(0, top + 1)] + [zbar_vec(n) for n in range(1, top + 1)]:
-        res = _residual(f, u, f_cols, u_cols, v)
+    for m in sorted(range(-top, top + 1), key=basis_order):
+        res = _residual(f, u, f_cols, u_cols, m)
         if not res.is_zero():
-            witnesses.append((v, res))
+            witnesses.append((m, res))
     return CommutationReport(
         commutes=not nonzero and not witnesses,
         threshold=n_star,

@@ -103,14 +103,6 @@ def test_oracle_check(capsys):
     assert report["result"]["max_diff"] < 1e-9
 
 
-def test_oracle_check_seed_env(capsys, monkeypatch):
-    monkeypatch.setenv("HTOEPLITZ_SEED", "11")
-    from htoeplitz.cli import build_parser
-
-    args = build_parser().parse_args(["oracle-check"])
-    assert args.seed == 11
-
-
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["derive", "--L", "1"])
@@ -120,6 +112,13 @@ def test_usage_error_exit_2(capsys):
 def test_parse_error_exit_2(capsys):
     code, out = run(capsys, "mellin", "r^^")
     assert code == 2
+    # only the canonical spellings name an indeterminate: C01 is not C1
+    for name in ("C01", "C00", "Cm0", "abar01"):
+        code, out = run(capsys, "apply", "--f", f"{name}*z + C1*z", "--v", "1")
+        assert (code, out) == (2, "")
+    code, report = run_json(capsys, "apply", "--f", "C0*C10*Cm1*z", "--v", "1")
+    assert code == 0
+    assert report["result"]["image"] == {"z": "C10*C0*Cm1"}
 
 
 def test_pretty_flag_does_not_change_exit_code(capsys):
@@ -250,12 +249,17 @@ def test_oracle_check_range_is_usage_error(capsys, flag, bad, message, first_val
 
 
 def test_oracle_check_bind_refuses_unknown_name(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["oracle-check", "--cases", "2", "--bind", "foo=1"])
-    captured = capsys.readouterr()
-    assert exc.value.code == 2
-    assert captured.out == ""
-    assert "argument --bind: 'foo' is not an indeterminate" in captured.err
+    for name in ("foo", "C01", "C00", "Cm0", "abar01"):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-check", "--cases", "2", "--bind", f"{name}=1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"argument --bind: {name!r} is not an indeterminate" in captured.err
+    for name in ("C0", "C10", "Cm1"):
+        code, report = run_json(capsys, "oracle-check", "--cases", "2", "--bind", f"{name}=1")
+        assert code == 0
+        assert report["inputs"]["bind"] == {name: [1.0, 0.0]}
 
 
 def test_oracle_check_bind_warns_when_no_case_uses_it(capsys):

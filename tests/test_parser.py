@@ -5,9 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from htoeplitz import (
-    ANALYTIC,
-    CONJUGATE,
-    BasisVector,
     ParseError,
     RadialFunction,
     Symbol,
@@ -64,9 +61,9 @@ def test_distribution():
 
 
 def test_basis_vectors():
-    assert parse_basis_vector("1") == BasisVector(ANALYTIC, 0)
-    assert parse_basis_vector("z^3") == BasisVector(ANALYTIC, 3)
-    assert parse_basis_vector("zbar") == BasisVector(CONJUGATE, 1)
+    assert parse_basis_vector("1") == 0
+    assert parse_basis_vector("z^3") == 3
+    assert parse_basis_vector("zbar") == -1
 
 
 def test_rational_expressions():
@@ -78,7 +75,8 @@ def test_rational_expressions():
 
 
 def test_error_positions():
-    for bad in ("z^", "e(2", "2 +* 3", "q7", "r^^2"):
+    # C01, C00, Cm0 and abar01 are not spellings of C1, C0 and abar1
+    for bad in ("z^", "e(2", "2 +* 3", "q7", "r^^2", "C01", "C00*z", "z + Cm0", "abar01"):
         with pytest.raises(ParseError) as exc:
             parse_symbol_expr(bad)
         assert "column" in str(exc.value)

@@ -72,11 +72,6 @@ def test_str():
     assert "C1" in s and "r^-1" in s
 
 
-@given(radial_functions(scalar=False))
-def test_json_round_trip(phi):
-    assert RadialFunction.from_json(phi.to_json()) == phi
-
-
 @given(radial_functions(), radial_functions(), radial_functions())
 def test_ring_laws(f, g, h):
     assert f + g == g + f

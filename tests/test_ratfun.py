@@ -165,8 +165,3 @@ def test_render():
     g = RationalFn(Poly.linear(6), {Fraction(10): 1})
     assert g.render() == "(z + 6)/(z+10)"
 
-
-@given(rational_functions())
-@settings(deadline=None)
-def test_json_round_trip(f):
-    assert RationalFn.from_json(f.to_json()) == f
