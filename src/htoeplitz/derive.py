@@ -89,6 +89,17 @@ def antidifference(h: RationalFn) -> RationalFn:
     return out
 
 
+def _satisfies(eq: FunctionalEquation, phi: RadialFunction) -> bool:
+    """The normalized identity F - G = C with C the stage's own constant.
+
+    This is sharper than F(z+2)-F(z) = rhs alone: the latter cannot see
+    kernel terms (multiples of r^{d-c-...} absorbed into the constant), and
+    the stage's constant is defined exactly by this normalization.
+    """
+    F = RationalFn(Poly.linear(eq.c)) * mellin(phi).shift(eq.d)
+    return F - eq.G == RationalFn.const(Coeff.indet(eq.unknown_name))
+
+
 def solve_telescoping(eq: FunctionalEquation) -> Tuple[str, RadialFunction]:
     """Introduce the fresh constant and invert F = C + G to a radial function.
 
@@ -105,8 +116,7 @@ def solve_telescoping(eq: FunctionalEquation) -> Tuple[str, RadialFunction]:
         phi = inverse_mellin(phihat)
     except MellinInversionError as exc:
         raise TelescopeError(f"G incompatible with shape: {exc}") from exc
-    F = RationalFn(Poly.linear(eq.c)) * mellin(phi).shift(eq.d)
-    if F - c_term - eq.G != RationalFn.zero:
+    if not _satisfies(eq, phi):
         raise TelescopeError("solver soundness check failed: F != C + G")
     return eq.unknown_name, phi
 
@@ -131,9 +141,9 @@ def commute_with_Tz_solve(p: int) -> RadialFunction:
 
 
 def _check_u(u: Symbol) -> None:
-    if u.components.get(1) != RadialFunction.term(1, 1):
+    if u.terms.get(1) != RadialFunction.term(1, 1):
         raise TelescopeError("equation not of telescoping form: u must have analytic part z")
-    for k in u.components:
+    for k in u.terms:
         if k != 1 and k >= 0:
             raise TelescopeError(
                 "equation not of telescoping form: u may only add co-analytic terms"
@@ -164,10 +174,10 @@ def constraint_at_offset(u: Symbol, known: Symbol, g: int, side: str) -> Functio
     G = RationalFn.zero
     rhs = RationalFn.zero
     residual = RationalFn.zero
-    for kf, phi_f in known.components.items():
+    for kf, phi_f in known.terms.items():
         if kf == g:
             continue
-        for j, phi_u in u.components.items():
+        for j, phi_u in u.terms.items():
             if kf + j != g + 1:
                 continue
             u_fn = branch_z(side, j, phi_u)
@@ -476,17 +486,6 @@ class LemmaReport:
             "printed_satisfies_equation": self.printed_satisfies_equation,
             "discrepancy": None if self.discrepancy is None else str(self.discrepancy),
         }
-
-
-def _satisfies(eq: FunctionalEquation, phi: RadialFunction) -> bool:
-    """The normalized identity F - G = C with C the stage's own constant.
-
-    This is sharper than F(z+2)-F(z) = rhs alone: the latter cannot see
-    kernel terms (multiples of r^{d-c-...} absorbed into the constant), and
-    the stage's constant is defined exactly by this normalization.
-    """
-    F = RationalFn(Poly.linear(eq.c)) * mellin(phi).shift(eq.d)
-    return F - eq.G == RationalFn.const(Coeff.indet(eq.unknown_name))
 
 
 PRINTED_LEMMA_TAGS = ("4.1", "R4.2", "f0", "f-1", "f-2", "f-3", "f-4")

@@ -5,6 +5,8 @@ multivariate polynomial over Gaussian rationals in the formal indeterminates
 ``C<k>`` / ``Cm<k>`` (undetermined constants, index k an integer) and
 ``abar<l>`` (the conjugated Taylor coefficients of the co-analytic symbol
 part, l >= 1).  Values are immutable and all arithmetic is exact.
+``Terms`` is the sparse sum that ``Coeff`` and the radial, vector and
+symbol types share.
 """
 
 from __future__ import annotations
@@ -124,9 +126,6 @@ class GaussianRational:
     def __bool__(self):
         return bool(self.re or self.im)
 
-    def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 
@@ -164,25 +163,76 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(d.items(), key=lambda it: indet_key(it[0])))
 
 
-class Coeff:
+class Terms:
+    """A finite sum sum_key value * key, stored as a map key -> nonzero value.
+
+    The one immutable sparse-sum type: ``Coeff``, ``RadialFunction``,
+    ``HarmonicVector`` and ``Symbol`` subclass it and share its addition,
+    negation, equality and hash.  Falsy (zero) values are dropped on
+    construction, so equal sums have equal maps.  ``coerce`` reads an
+    operand as a value of the subclass, or gives NotImplemented.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping | None = None):
+        clean = {}
+        if terms:
+            for key, c in terms.items():
+                if c:
+                    clean[key] = c
+        object.__setattr__(self, "terms", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def coerce(cls, x):
+        return x if isinstance(x, cls) else NotImplemented
+
+    def __add__(self, other):
+        other = self.coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = terms[key] + c if key in terms else c
+        return type(self)(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self.coerce(other)
+        return NotImplemented if other is NotImplemented else self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        other = self.coerce(other)
+        return NotImplemented if other is NotImplemented else self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+
+class Coeff(Terms):
     """A polynomial over GaussianRational in the formal indeterminates.
 
     Stored as a map monomial -> nonzero GaussianRational; the empty monomial
     holds the scalar part.  Canonical by construction.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Monomial, GaussianRational] | None = None):
-        clean = {}
-        if terms:
-            for mono, c in terms.items():
-                if c:
-                    clean[mono] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Coeff is immutable")
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------------
 
@@ -202,32 +252,22 @@ class Coeff:
 
     @staticmethod
     def coerce(x: "Coeff | GaussianRational | Rat") -> "Coeff":
+        """x as a Coeff: scalars become constants; NotImplemented for other types."""
         if isinstance(x, Coeff):
             return x
-        return Coeff.const(x)
+        if isinstance(x, (int, Fraction, GaussianRational)):
+            return Coeff.const(x)
+        return NotImplemented
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
-        other = Coeff.coerce(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            terms[mono] = terms[mono] + c if mono in terms else c
-        return Coeff(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Coeff({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-Coeff.coerce(other))
-
-    def __rsub__(self, other):
-        return Coeff.coerce(other) - self
+    # bound in the class body so that Coeff.__dict__ holds __add__ (bench/spans.py counts it)
+    __add__ = __radd__ = Terms.__add__
 
     def __mul__(self, other):
         other = Coeff.coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         terms: dict = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
@@ -249,9 +289,6 @@ class Coeff:
             s = s.scalar()
         return self.scale(ONE / GaussianRational.coerce(s))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_scalar(self) -> bool:
         return all(m == () for m in self.terms)
 
@@ -259,19 +296,6 @@ class Coeff:
         if not self.is_scalar():
             raise ValueError(f"not a scalar Coeff: {self}")
         return self.terms.get((), ZERO)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Coeff.const(other)
-        if not isinstance(other, Coeff):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     # -- structure ---------------------------------------------------------
 

@@ -86,10 +86,10 @@ def compare(
 ) -> dict:
     """Entrywise comparison; missing entries count as zero."""
     bindings = bindings or {}
-    keys = set(symbolic.entries) | set(numeric)
+    keys = set(symbolic.terms) | set(numeric)
     worst_key, worst = None, 0.0
     for m in keys:
-        sym = symbolic.entries[m].bind(bindings) if m in symbolic.entries else 0j
+        sym = symbolic.terms[m].bind(bindings) if m in symbolic.terms else 0j
         num = numeric.get(m, 0j)
         d = abs(sym - num)
         if d > worst:

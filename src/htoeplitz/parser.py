@@ -161,8 +161,8 @@ class _Parser:
 
 def _sym_mul(a: Symbol, b: Symbol) -> Symbol:
     comps: dict = {}
-    for k1, p1 in a.components.items():
-        for k2, p2 in b.components.items():
+    for k1, p1 in a.terms.items():
+        for k2, p2 in b.terms.items():
             k = k1 + k2
             prod = p1 * p2
             comps[k] = comps.get(k, RadialFunction.zero) + prod
@@ -262,12 +262,12 @@ def parse_symbol_expr(text: str) -> Symbol:
 
 def parse_radial_expr(text: str) -> RadialFunction:
     sym = parse_symbol_expr(text)
-    extra = [k for k in sym.components if k != 0]
+    extra = [k for k in sym.terms if k != 0]
     if extra:
         raise ParseError(
             f"expected a radial function; found angular degrees {sorted(extra)}", 0
         )
-    return sym.components.get(0, RadialFunction.zero)
+    return sym.terms.get(0, RadialFunction.zero)
 
 
 def parse_basis_vector(text: str) -> int:

@@ -1,38 +1,35 @@
 """Radial functions spanned by r^a (ln r)^b with Coeff coefficients.
 
 A ``RadialFunction`` is a finite sum  sum_{(a,b)} c_{a,b} * r^a * (ln r)^b
-with a rational, b a nonnegative integer and c_{a,b} a ``Coeff``.  This span
-is closed under addition, multiplication and multiplication by r^j, and it
-carries the L^1([0,1), r dr) integrability test used to kill constants.
+with a rational, b a nonnegative integer and c_{a,b} a ``Coeff``: a
+``Terms`` map (a, b) -> c_{a,b}, which supplies addition, negation, equality
+and hashing.  This span is closed under addition, multiplication and
+multiplication by r^j, and it carries the L^1([0,1), r dr) integrability test
+used to kill constants.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Mapping, Tuple
 
-from .exactalg import Coeff, Rat, render_sum, render_term
+from .exactalg import Coeff, Rat, Terms, render_sum, render_term
 
 Key = Tuple[Fraction, int]  # (exponent a, log power b)
 
 
-class RadialFunction:
-    __slots__ = ("terms",)
+class RadialFunction(Terms):
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[Key, Coeff] | None = None):
         clean = {}
-        if terms:
-            for (a, b), c in terms.items():
-                c = Coeff.coerce(c)
-                if not c.is_zero():
-                    if b < 0:
-                        raise ValueError("log power must be >= 0")
-                    clean[(Fraction(a), int(b))] = c
+        for (a, b), c in (terms or {}).items():
+            c = Coeff.coerce(c)
+            if c:
+                if b < 0:
+                    raise ValueError("log power must be >= 0")
+                clean[(Fraction(a), int(b))] = c
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RadialFunction is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -47,18 +44,6 @@ class RadialFunction:
     zero: "RadialFunction"
 
     # -- algebra -----------------------------------------------------------
-
-    def __add__(self, other: "RadialFunction") -> "RadialFunction":
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, Coeff()) + c
-        return RadialFunction(terms)
-
-    def __neg__(self):
-        return RadialFunction({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, RadialFunction):
@@ -81,17 +66,6 @@ class RadialFunction:
         j = Fraction(j)
         return RadialFunction({(a + j, b): c for (a, b), c in self.terms.items()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, RadialFunction):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     # -- integrability -----------------------------------------------------
 
     def is_integrable(self) -> bool:
@@ -105,7 +79,7 @@ class RadialFunction:
     def non_integrable_terms(self) -> dict:
         return {key: c for key, c in self.terms.items() if key[0] <= -2}
 
-    # -- substitution / numerics ------------------------------------------
+    # -- substitution -----------------------------------------------------
 
     def substitute_zero(self, names) -> "RadialFunction":
         return RadialFunction(
@@ -117,16 +91,6 @@ class RadialFunction:
         for c in self.terms.values():
             out |= c.indeterminates()
         return out
-
-    def eval_numeric(self, r: float, bindings: Mapping[str, complex] | None = None) -> complex:
-        if not (0.0 < r < 1.0):
-            raise ValueError("radial evaluation requires 0 < r < 1")
-        bindings = bindings or {}
-        lr = math.log(r)
-        total = 0j
-        for (a, b), c in self.terms.items():
-            total += c.bind(bindings) * (r ** float(a)) * (lr ** b)
-        return total
 
     # -- rendering / serialization ----------------------------------------
 

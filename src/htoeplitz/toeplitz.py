@@ -2,7 +2,9 @@
 
 The harmonic Bergman space of the unit disk has orthogonal basis
 e_m = r^|m| e^{im theta}, m an integer: 1 = e_0, z^n = e_n, zbar^n = e_{-n}.
-A basis vector is its signed index m.  A quasihomogeneous symbol
+A basis vector is its signed index m; a ``HarmonicVector`` is a ``Terms``
+map m -> Coeff and a ``Symbol`` a ``Terms`` map k -> f_k of its polar
+decomposition f = sum_k e^{ik theta} f_k.  A quasihomogeneous symbol
 e^{ik theta} phi(r) maps e_m to a multiple of e_{m+k}, the multiple being one
 Mellin value of phi.  ``apply_generic`` gives the "for every n at once" form
 of that action on one side, as rational functions of the basis index with
@@ -12,9 +14,9 @@ validity thresholds; below-threshold indices are always handled concretely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Tuple
 
-from .exactalg import Coeff, aname, render_sum, render_term
+from .exactalg import Coeff, Terms, aname, render_sum, render_term
 from .mellin import mellin, mellin_at
 from .radial import RadialFunction
 from .ratfun import Poly, RationalFn
@@ -36,21 +38,10 @@ def basis_order(m: int):
     return (m < 0, abs(m))
 
 
-class HarmonicVector:
+class HarmonicVector(Terms):
     """Finite Coeff-linear combination of basis vectors e_m, keyed by m."""
 
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Mapping[int, Coeff] | None = None):
-        clean = {}
-        for v, c in (entries or {}).items():
-            c = Coeff.coerce(c)
-            if not c.is_zero():
-                clean[v] = c
-        object.__setattr__(self, "entries", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HarmonicVector is immutable")
+    __slots__ = ()
 
     @staticmethod
     def basis(m: int, c=1) -> "HarmonicVector":
@@ -58,105 +49,50 @@ class HarmonicVector:
 
     zero: "HarmonicVector"
 
-    def __add__(self, other: "HarmonicVector") -> "HarmonicVector":
-        entries = dict(self.entries)
-        for v, c in other.entries.items():
-            entries[v] = entries.get(v, Coeff()) + c
-        return HarmonicVector(entries)
-
-    def __neg__(self):
-        return HarmonicVector({v: -c for v, c in self.entries.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c) -> "HarmonicVector":
         c = Coeff.coerce(c)
-        return HarmonicVector({v: x * c for v, x in self.entries.items()})
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other):
-        if not isinstance(other, HarmonicVector):
-            return NotImplemented
-        return self.entries == other.entries
+        return HarmonicVector({v: x * c for v, x in self.terms.items()})
 
     def __str__(self):
         return render_sum(
-            render_term(self.entries[m], basis_label(m) if m else "")
-            for m in sorted(self.entries, key=basis_order)
+            render_term(self.terms[m], basis_label(m) if m else "")
+            for m in sorted(self.terms, key=basis_order)
         )
 
     def __repr__(self):
         return f"HarmonicVector<{self}>"
 
     def to_json(self):
-        return {basis_label(m): str(self.entries[m]) for m in sorted(self.entries, key=basis_order)}
+        return {basis_label(m): str(self.terms[m]) for m in sorted(self.terms, key=basis_order)}
 
 
 HarmonicVector.zero = HarmonicVector()
 
 
-class Symbol:
+class Symbol(Terms):
     """Polar decomposition: finite map degree k -> radial component f_k."""
 
-    __slots__ = ("components",)
-
-    def __init__(self, components: Mapping[int, RadialFunction] | None = None):
-        clean = {}
-        if components:
-            for k, p in components.items():
-                if not p.is_zero():
-                    clean[int(k)] = p
-        object.__setattr__(self, "components", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Symbol is immutable")
-
-    @staticmethod
-    def quasi(k: int, phi: RadialFunction) -> "Symbol":
-        return Symbol({k: phi})
+    __slots__ = ()
 
     @staticmethod
     def monomial_z(n: int, coeff=1) -> "Symbol":
         """z^n (n >= 0) or zbar^{-n} (n < 0) as a symbol."""
         return Symbol({n: RadialFunction.term(coeff, abs(n))})
 
-    def __add__(self, other: "Symbol") -> "Symbol":
-        comps = dict(self.components)
-        for k, p in other.components.items():
-            comps[k] = comps.get(k, RadialFunction.zero) + p
-        return Symbol(comps)
-
-    def __neg__(self):
-        return Symbol({k: -p for k, p in self.components.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c) -> "Symbol":
-        return Symbol({k: p.scale(c) for k, p in self.components.items()})
-
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def __eq__(self, other):
-        if not isinstance(other, Symbol):
-            return NotImplemented
-        return self.components == other.components
+        return Symbol({k: p.scale(c) for k, p in self.terms.items()})
 
     def max_abs_degree(self) -> int:
-        if not self.components:
+        if not self.terms:
             return 0
-        return max(abs(k) for k in self.components)
+        return max(abs(k) for k in self.terms)
 
     def __str__(self):
-        if not self.components:
+        if not self.terms:
             return "0"
         parts = []
-        for k in sorted(self.components, reverse=True):
-            p = self.components[k]
+        for k in sorted(self.terms, reverse=True):
+            p = self.terms[k]
             if k == 0:
                 parts.append(str(p))
             else:
@@ -167,7 +103,7 @@ class Symbol:
         return f"Symbol<{self}>"
 
     def to_json(self):
-        return {str(k): self.components[k].to_json() for k in sorted(self.components, reverse=True)}
+        return {str(k): self.terms[k].to_json() for k in sorted(self.terms, reverse=True)}
 
 
 
@@ -213,8 +149,8 @@ class NonIntegrableSymbolError(ValueError):
 
 def _check_integrable(f: Symbol) -> None:
     """Raise NonIntegrableSymbolError naming the first term of f with a <= -2."""
-    for k in sorted(f.components, reverse=True):
-        bad = f.components[k].non_integrable_terms()
+    for k in sorted(f.terms, reverse=True):
+        bad = f.terms[k].non_integrable_terms()
         if bad:
             a, b = min(bad)
             raise NonIntegrableSymbolError(k, a, b)
@@ -225,7 +161,7 @@ def _column(sym: Symbol, memo: dict, m: int) -> HarmonicVector:
     col = memo.get(m)
     if col is None:
         col = HarmonicVector.zero
-        for k, phi in sym.components.items():
+        for k, phi in sym.terms.items():
             col = col + apply_quasi(k, phi, m)
         memo[m] = col
     return col
@@ -234,8 +170,8 @@ def _column(sym: Symbol, memo: dict, m: int) -> HarmonicVector:
 def _apply_columns(sym: Symbol, memo: dict, w: HarmonicVector) -> HarmonicVector:
     """T_sym w as the combination sum_m w[m] * T_sym e_m of memoized columns."""
     acc: Dict[int, Coeff] = {}
-    for m, c in w.entries.items():
-        for x, y in _column(sym, memo, m).entries.items():
+    for m, c in w.terms.items():
+        for x, y in _column(sym, memo, m).terms.items():
             y = y * c
             acc[x] = acc[x] + y if x in acc else y
     return HarmonicVector(acc)
@@ -299,7 +235,7 @@ def apply_generic(f: Symbol, side: str) -> dict:
     """
     smin = _side_min(side)
     entries: Dict[int, Tuple[RationalFn, int]] = {}
-    for k, phi in f.components.items():
+    for k, phi in f.terms.items():
         d = branch_offset(side, k)
         # valid while both n and n + d are indices on this side
         entries[d] = (branch_z(side, k, phi).affine_substitute(2, 0), max(smin, smin - d))

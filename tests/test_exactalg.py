@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from htoeplitz import C, Coeff, GaussianRational, UnboundIndeterminateError, abar
+from htoeplitz import (
+    C,
+    Coeff,
+    GaussianRational,
+    HarmonicVector,
+    RadialFunction,
+    Symbol,
+    UnboundIndeterminateError,
+    abar,
+)
 from htoeplitz.exactalg import aname, cname, indet_key, is_constant_name
 
 from .conftest import coeffs, fractions, gaussians
@@ -51,11 +60,6 @@ def test_gaussian_division(a):
     assert (GaussianRational(1) / a) * a == GaussianRational(1)
 
 
-@given(gaussians())
-def test_gaussian_conj_matches_complex(a):
-    assert a.conj().to_complex() == a.to_complex().conjugate()
-
-
 @given(coeffs(), coeffs(), coeffs())
 def test_coeff_ring_laws(x, y, z):
     assert x + y == y + x
@@ -97,6 +101,37 @@ def test_coeff_output_independent_of_insertion_order():
     assert a == b
     assert str(a) == str(b) == "C2*abar1 + C2*abar1^2"
     assert a.to_json() == b.to_json()
+
+
+def _sparse_sums(c1, c2):
+    """Per Terms subclass: two values a, b built from two Coeffs, and one zero entry."""
+    r = RadialFunction.term
+    return {
+        Coeff: (c1 + 1, c2 * abar(1), ((), GaussianRational(0))),
+        RadialFunction: (r(c1, 1) + r(c2, -1, 2), r(c2, 1), ((0, 0), Coeff())),
+        HarmonicVector: (HarmonicVector({0: c1, -2: c2}), HarmonicVector({0: c2, 3: c1}),
+                         (0, Coeff())),
+        Symbol: (Symbol({1: r(c1, 1), -2: r(c2, 0, 1)}), Symbol({1: r(c2, 1)}),
+                 (0, RadialFunction.zero)),
+    }
+
+
+@pytest.mark.parametrize("cls", [Coeff, RadialFunction, HarmonicVector, Symbol],
+                         ids=lambda cls: cls.__name__)
+@given(coeffs(), coeffs())
+def test_sparse_sum_laws(cls, c1, c2):
+    # the four sparse sums share one +, -, ==, hash and immutability
+    a, b, (key, zero) = _sparse_sums(c1, c2)[cls]
+    assert cls({key: zero}).terms == {}
+    diff = a - a
+    assert type(diff) is cls and diff.is_zero() and not diff
+    assert a + b - b == a
+    assert -(-a) == a
+    assert hash(a + b - b) == hash(a)
+    with pytest.raises(AttributeError):
+        a.terms = {}
+    with pytest.raises(AttributeError):
+        setattr(a, "other", 1)
 
 
 @st.composite

@@ -34,6 +34,10 @@ CASES = {
     "invmellin": ["invmellin", "(z+2)/(z^2+6*z+8)"],
     "apply": ["apply", "--f", "e(3)*r^3", "--v", "z"],
     "commutator": ["commutator", "--f", "z^2", "--u", "z+abar1*conj(z)", "--v", "z"],
+    "verify-nonzero-pretty": [
+        "--pretty", "verify", "--f", "z^2", "--u", "z+abar1*conj(z)", "--nmax", "4",
+    ],
+    "apply-zbar": ["apply", "--f", "z^2+abar1*conj(z)", "--v", "zbar^3"],
 }
 
 

@@ -28,14 +28,14 @@ def test_monomials():
 
 def test_truncated_u():
     u = parse_symbol_expr("z + abar1*conj(z) + abar2*conj(z)^2")
-    assert set(u.components) == {1, -1, -2}
-    assert u.components[-2] == RadialFunction.term(abar(2), 2)
+    assert set(u.terms) == {1, -1, -2}
+    assert u.terms[-2] == RadialFunction.term(abar(2), 2)
 
 
 def test_quasihomogeneous_factor():
     s = parse_symbol_expr("e(-2)*(r^-2 - r^2)")
-    assert set(s.components) == {-2}
-    assert s.components[-2] == RadialFunction.term(1, -2) - RadialFunction.term(1, 2)
+    assert set(s.terms) == {-2}
+    assert s.terms[-2] == RadialFunction.term(1, -2) - RadialFunction.term(1, 2)
 
 
 def test_radial_vocabulary():
@@ -56,8 +56,8 @@ def test_like_components_merge():
 
 def test_distribution():
     s = parse_symbol_expr("(z + conj(z))*(z + conj(z))")
-    assert set(s.components) == {2, 0, -2}
-    assert s.components[0] == RadialFunction.term(2, 2)
+    assert set(s.terms) == {2, 0, -2}
+    assert s.terms[0] == RadialFunction.term(2, 2)
 
 
 def test_basis_vectors():

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 from hypothesis import given
@@ -52,18 +51,6 @@ def test_substitute_zero():
     out = phi.substitute_zero(["C2"])
     assert out == RadialFunction.term(C(1), 1)
     assert out.is_integrable()
-
-
-def test_eval_numeric():
-    phi = RadialFunction.term(2, 3) + RadialFunction.term(1, 0, 2)
-    r = 0.37
-    expected = 2 * r**3 + math.log(r) ** 2
-    assert abs(phi.eval_numeric(r) - expected) < 1e-14
-
-
-def test_eval_numeric_with_bindings():
-    phi = RadialFunction.term(abar(1), 2)
-    assert abs(phi.eval_numeric(0.5, {"abar1": 2j}) - 0.5j) < 1e-15
 
 
 def test_str():

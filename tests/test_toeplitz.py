@@ -111,16 +111,16 @@ def test_apply_quasi_matches_transform(phi):
 
 
 def test_constant_symbol_is_identity_scalar():
-    one = Symbol.quasi(0, RadialFunction.const(1))
+    one = Symbol({0: RadialFunction.const(1)})
     for m in (_z(0), _z(3), _zbar(2)):
         assert apply_symbol(one, HarmonicVector.basis(m)) == HarmonicVector.basis(m)
 
 
 def test_u_symbol_shape():
     u = u_symbol(2)
-    assert set(u.components) == {1, -1, -2}
-    assert u.components[1] == RadialFunction.term(1, 1)
-    assert u.components[-2] == RadialFunction.term(abar(2), 2)
+    assert set(u.terms) == {1, -1, -2}
+    assert u.terms[1] == RadialFunction.term(1, 1)
+    assert u.terms[-2] == RadialFunction.term(abar(2), 2)
 
 
 def test_commutator_witness():
@@ -141,7 +141,7 @@ def test_self_commutation():
 
 def test_affine_in_u_commutes():
     u = u_symbol(2)
-    f = u.scale(Coeff.indet("C1")) + Symbol.quasi(0, RadialFunction.const(Coeff.indet("C0")))
+    f = u.scale(Coeff.indet("C1")) + Symbol({0: RadialFunction.const(Coeff.indet("C0"))})
     assert verify_commute(f, u, n_max=10).commutes
 
 
@@ -158,14 +158,14 @@ def test_noncommuting_verdict():
 @settings(deadline=None, max_examples=60)
 def test_generic_matches_concrete(phi, k, n):
     """The rational-in-n action agrees with the branch computation."""
-    f = Symbol.quasi(k, phi)
+    f = Symbol({k: phi})
     for side, index in ((ANALYTIC, _z), (CONJUGATE, _zbar)):
         ga = apply_generic(f, side)
         for d, (fn, n0) in ga.items():
             if n < n0:
                 continue
             out = apply_quasi(k, phi, index(n))
-            expect = out.entries.get(index(n + d), Coeff.const(0))
+            expect = out.terms.get(index(n + d), Coeff.const(0))
             assert fn.evaluate_at(Fraction(n)) == expect
 
 
@@ -188,7 +188,7 @@ def test_compose_generic_consistency():
     for d, (fn, n0) in comp.items():
         if n < n0:
             continue
-        expect = direct.entries.get(_z(n + d), Coeff.const(0))
+        expect = direct.terms.get(_z(n + d), Coeff.const(0))
         assert fn.evaluate_at(Fraction(n)) == expect
 
 
@@ -210,8 +210,8 @@ def test_non_integrable_symbols_are_refused():
 def _apply_direct(f, w):
     """T_f w term by term, every column rebuilt: the reference for the memoized path."""
     out = HarmonicVector.zero
-    for k, phi in f.components.items():
-        for m, c in w.entries.items():
+    for k, phi in f.terms.items():
+        for m, c in w.terms.items():
             out = out + apply_quasi(k, phi, m).scale(c)
     return out
 
@@ -223,7 +223,7 @@ def _symbols_against_u(draw):
     u = u_symbol(L)
     if draw(st.booleans()):
         c1, c0 = draw(coeffs()), draw(coeffs())
-        return u.scale(c1) + Symbol.quasi(0, RadialFunction.term(c0, 0)), u
+        return u.scale(c1) + Symbol({0: RadialFunction.term(c0, 0)}), u
     comps = {}
     for k in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True)):
         comps[k] = draw(radial_functions(a_min=-1, a_max=4, b_max=1))
