@@ -56,10 +56,10 @@ def antidifference(h: RationalFn) -> RationalFn:
     """
     poly = Poly()
     remaining = h.poly_part
-    while not remaining.is_zero():
+    while remaining:
         deg = remaining.degree()
-        coef = remaining[deg] / Fraction(2 * (deg + 1))
-        term = Poly([Coeff()] * (deg + 1) + [coef])
+        coef = remaining.leading() / Fraction(2 * (deg + 1))
+        term = Poly({deg + 1: coef})
         poly = poly + term
         remaining = remaining - (term.shift(2) - term)
     # fractions, grouped by (pole residue class mod 2, power)
@@ -82,7 +82,7 @@ def antidifference(h: RationalFn) -> RationalFn:
                     )
                 fractions[(p - 2, j)] = d
             p -= 2
-    out = RationalFn.from_parts(poly, fractions)
+    out = RationalFn(fractions) + poly
     # exact verification
     if out.shift(2) - out != h:
         raise TelescopeError("antidifference verification failed")
@@ -96,7 +96,7 @@ def _satisfies(eq: FunctionalEquation, phi: RadialFunction) -> bool:
     kernel terms (multiples of r^{d-c-...} absorbed into the constant), and
     the stage's constant is defined exactly by this normalization.
     """
-    F = RationalFn(Poly.linear(eq.c)) * mellin(phi).shift(eq.d)
+    F = mellin(phi).shift(eq.d) * Poly.linear(eq.c)
     return F - eq.G == RationalFn.const(Coeff.indet(eq.unknown_name))
 
 
@@ -112,7 +112,7 @@ def solve_telescoping(eq: FunctionalEquation) -> Tuple[str, RadialFunction]:
     c_term = RationalFn.const(Coeff.indet(eq.unknown_name))
     numerator = c_term + eq.G.shift(-eq.d)
     try:
-        phihat = numerator / RationalFn(Poly.linear(eq.c - eq.d))
+        phihat = numerator / Poly.linear(eq.c - eq.d)
         phi = inverse_mellin(phihat)
     except MellinInversionError as exc:
         raise TelescopeError(f"G incompatible with shape: {exc}") from exc
@@ -170,7 +170,7 @@ def constraint_at_offset(u: Symbol, known: Symbol, g: int, side: str) -> Functio
         c, d = Fraction(0), Fraction(-g)
         # unknown terms: -(z-2g) phihat(z-g+2) + z(z-2g)/(z+2) phihat(z-g);
         # multiplying by M normalizes them to F(z+2) - F(z) with F = z phihat(z-g)
-        M = RationalFn(Poly([2, 1])).scale(-1) / RationalFn(Poly([-2 * g, 1]))
+        M = RationalFn.quotient(-Poly.linear(2), {-2 * g: 1})
     G = RationalFn.zero
     rhs = RationalFn.zero
     residual = RationalFn.zero
@@ -213,10 +213,11 @@ def _find_shift(A: RationalFn, B: RationalFn) -> Optional[int]:
     confirms it.  Pole-free pairs try only m = 0.
     """
     m = 0
-    if A.fractions or B.fractions:
-        if not (A.fractions and B.fractions):
+    fa, fb = A.fractions, B.fractions
+    if fa or fb:
+        if not (fa and fb):
             return None
-        m = (min(q for q, _ in A.fractions) - min(q for q, _ in B.fractions)) / 2
+        m = (min(q for q, _ in fa) - min(q for q, _ in fb)) / 2
         if m.denominator != 1:
             return None
     return int(m) if A == (B.shift(2 * m) if m else B) else None

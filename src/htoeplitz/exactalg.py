@@ -5,8 +5,9 @@ multivariate polynomial over Gaussian rationals in the formal indeterminates
 ``C<k>`` / ``Cm<k>`` (undetermined constants, index k an integer) and
 ``abar<l>`` (the conjugated Taylor coefficients of the co-analytic symbol
 part, l >= 1).  Values are immutable and all arithmetic is exact.
-``Terms`` is the sparse sum that ``Coeff`` and the radial, vector and
-symbol types share.
+``Terms`` is the sparse sum that ``Coeff`` and the radial, vector, symbol,
+polynomial and rational-function types share, with the one product loop
+``Terms._product``.
 """
 
 from __future__ import annotations
@@ -167,9 +168,10 @@ class Terms:
     """A finite sum sum_key value * key, stored as a map key -> nonzero value.
 
     The one immutable sparse-sum type: ``Coeff``, ``RadialFunction``,
-    ``HarmonicVector`` and ``Symbol`` subclass it and share its addition,
-    negation, equality and hash.  Falsy (zero) values are dropped on
-    construction, so equal sums have equal maps.  ``coerce`` reads an
+    ``HarmonicVector``, ``Symbol``, ``Poly`` and ``RationalFn`` subclass it
+    and share its addition, negation, equality and hash, and every product
+    of two sums runs through ``_product``.  Falsy (zero) values are dropped
+    on construction, so equal sums have equal maps.  ``coerce`` reads an
     operand as a value of the subclass, or gives NotImplemented.
     """
 
@@ -194,6 +196,10 @@ class Terms:
         other = self.coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other     # values are immutable, so the sum may share it
         terms = dict(self.terms)
         for key, c in other.terms.items():
             terms[key] = terms[key] + c if key in terms else c
@@ -223,6 +229,17 @@ class Terms:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
+
+    def _product(self, other: "Terms", key_mul) -> dict:
+        """The map key_mul(ka, kb) -> sum of a*b over the terms a at ka of
+        self and b at kb of other (zero sums not yet dropped)."""
+        terms: dict = {}
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                key = key_mul(ka, kb)
+                c = ca * cb
+                terms[key] = terms[key] + c if key in terms else c
+        return terms
 
 
 class Coeff(Terms):
@@ -268,13 +285,7 @@ class Coeff(Terms):
         other = Coeff.coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = _mono_mul(ma, mb)
-                c = ca * cb
-                terms[m] = terms[m] + c if m in terms else c
-        return Coeff(terms)
+        return Coeff(self._product(other, _mono_mul))
 
     __rmul__ = __mul__
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .exactalg import Coeff, GaussianRational, Rat
 from .radial import RadialFunction
-from .ratfun import PoleError, Poly, RationalFn
+from .ratfun import PoleError, RationalFn
 
 
 class MellinInversionError(ValueError):
@@ -24,9 +24,8 @@ class MellinInversionError(ValueError):
 
 def mellin(p: RadialFunction) -> RationalFn:
     """Exact Mellin transform of a radial function, as a RationalFn in z."""
-    return RationalFn.from_parts(
-        Poly(),
-        {(a, b + 1): c.scale((-1) ** b * math.factorial(b)) for (a, b), c in p.terms.items()},
+    return RationalFn(
+        {(a, b + 1): c.scale((-1) ** b * math.factorial(b)) for (a, b), c in p.terms.items()}
     )
 
 
@@ -53,10 +52,11 @@ def inverse_mellin(a: RationalFn) -> RadialFunction:
     Requires `a` to have zero polynomial part; each c/(z+q)^j inverts to
     c*(-1)^(j-1)/(j-1)! * r^q (ln r)^(j-1).
     """
-    if not a.poly_part.is_zero():
+    poly = a.poly_part
+    if poly:
         raise MellinInversionError(
             "not a Mellin image of the radial span (nonzero polynomial part: "
-            f"{a.poly_part})"
+            f"{poly})"
         )
     return RadialFunction(
         {

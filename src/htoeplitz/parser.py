@@ -11,7 +11,8 @@ Symbol grammar::
 ``e(n)*r^n`` and ``conj(z)^n`` to ``e(-n)*r^n``.  Indeterminates are
 written ``C3``, ``Cm1`` (negative index), ``abar2``.  The rational-function
 grammar replaces the radial vocabulary with the single variable ``z`` and
-adds ``/``.
+adds ``/``.  The parsers hold no arithmetic of their own: ``+``, ``-`` and
+``*`` are those of ``Symbol`` and ``RationalFn``.
 """
 
 from __future__ import annotations
@@ -159,16 +160,6 @@ class _Parser:
 # symbol expressions
 
 
-def _sym_mul(a: Symbol, b: Symbol) -> Symbol:
-    comps: dict = {}
-    for k1, p1 in a.terms.items():
-        for k2, p2 in b.terms.items():
-            k = k1 + k2
-            prod = p1 * p2
-            comps[k] = comps.get(k, RadialFunction.zero) + prod
-    return Symbol(comps)
-
-
 def _const_symbol(c) -> Symbol:
     return Symbol({0: RadialFunction.const(c)})
 
@@ -178,7 +169,7 @@ class _SymbolParser(_Parser):
         out = self.parse_factor()
         while self.peek()[1] == "*":
             self.next()
-            out = _sym_mul(out, self.parse_factor())
+            out = out * self.parse_factor()
         return out
 
     def parse_factor(self) -> Symbol:
@@ -335,7 +326,7 @@ class _RatParser(_Parser):
             if val == "i":
                 return RationalFn.const(Coeff.const(GaussianRational(0, 1)))
             if val == "z":
-                return RationalFn(Poly.variable())
+                return RationalFn.coerce(Poly.variable())
             try:
                 indet_key(val)
             except ValueError:

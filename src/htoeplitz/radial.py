@@ -2,10 +2,10 @@
 
 A ``RadialFunction`` is a finite sum  sum_{(a,b)} c_{a,b} * r^a * (ln r)^b
 with a rational, b a nonnegative integer and c_{a,b} a ``Coeff``: a
-``Terms`` map (a, b) -> c_{a,b}, which supplies addition, negation, equality
-and hashing.  This span is closed under addition, multiplication and
-multiplication by r^j, and it carries the L^1([0,1), r dr) integrability test
-used to kill constants.
+``Terms`` map (a, b) -> c_{a,b}, which supplies addition, negation, equality,
+hashing and the product loop.  This span is closed under addition,
+multiplication and multiplication by r^j, and it carries the L^1([0,1), r dr)
+integrability test used to kill constants.
 """
 
 from __future__ import annotations
@@ -16,6 +16,11 @@ from typing import Mapping, Tuple
 from .exactalg import Coeff, Rat, Terms, render_sum, render_term
 
 Key = Tuple[Fraction, int]  # (exponent a, log power b)
+
+
+def _key_mul(x: Key, y: Key) -> Key:
+    """r^a1 (ln r)^b1 * r^a2 (ln r)^b2 = r^(a1+a2) (ln r)^(b1+b2)."""
+    return (x[0] + y[0], x[1] + y[1])
 
 
 class RadialFunction(Terms):
@@ -47,12 +52,7 @@ class RadialFunction(Terms):
 
     def __mul__(self, other):
         if isinstance(other, RadialFunction):
-            terms: dict = {}
-            for (a1, b1), c1 in self.terms.items():
-                for (a2, b2), c2 in other.terms.items():
-                    key = (a1 + a2, b1 + b2)
-                    terms[key] = terms.get(key, Coeff()) + c1 * c2
-            return RadialFunction(terms)
+            return RadialFunction(self._product(other, _key_mul))
         return self.scale(other)
 
     __rmul__ = __mul__

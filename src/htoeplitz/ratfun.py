@@ -1,24 +1,29 @@
 """Univariate rational functions over Coeff, stored as partial fractions.
 
-``Poly`` is a dense polynomial in one variable with ``Coeff`` coefficients.
-``RationalFn`` is poly_part + sum over (q, j) of c / (z+q)^j, every pole
-location q a concrete rational and j >= 1.  That form is unique, so
-equality is structural; sums merge the parts, shifts and affine
-substitutions relabel poles, and a product of fractions at two poles splits
-by  1/((z+p)^a (z+q)^b) = sum_n (-1)^n C(b+n-1, n) (q-p)^(-b-n) / (z+p)^(a-n)
+``Poly`` is a sparse polynomial in one variable: a ``Terms`` map from the
+degree i to the nonzero ``Coeff`` of z^i.  ``RationalFn`` is
+sum_i c_i z^i + sum over (q, j) of c / (z+q)^j, every pole location q a
+concrete rational and j >= 1, held as one ``Terms`` map whose keys are i and
+(q, j); ``poly_part`` and ``fractions`` are views of it.  That form is
+unique, so equality is structural; sums merge terms, shifts and affine
+substitutions relabel poles, and a product multiplies term by term, with a
+product of fractions at two poles split by
+1/((z+p)^a (z+q)^b) = sum_n (-1)^n C(b+n-1, n) (q-p)^(-b-n) / (z+p)^(a-n)
 + (p <-> q).  The Mellin images of the radial span are exactly the forms
-with no polynomial part.  ``num`` / ``den`` give the reduced quotient with a
+with no polynomial part.  ``RationalFn.quotient`` reduces num / prod (z+q)^m
+to that form, and ``num`` / ``den`` give the reduced quotient back with a
 monic denominator, for rendering and serialization.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, lcm
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Tuple
 
-from .exactalg import Coeff, GaussianRational, Rat, render_sum, render_term
+from .exactalg import Coeff, GaussianRational, Rat, Terms, render_sum, render_term
 
 Pole = Tuple[Fraction, int]  # (q, j) for the fraction 1/(z+q)^j
 
@@ -32,83 +37,58 @@ class PoleError(ArithmeticError):
         return f"evaluation at a pole: z = {self.q}"
 
 
-class Poly:
-    """Dense polynomial: coeffs[i] is the Coeff of z^i, top coefficient nonzero."""
+class Poly(Terms):
+    """Sparse polynomial: a map degree i -> nonzero Coeff of z^i."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: Sequence = ()):
-        cs = [Coeff.coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __init__(self, terms: Mapping[int, object] | None = None):
+        super().__init__({i: Coeff.coerce(c) for i, c in (terms or {}).items()})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+    @staticmethod
+    def coerce(x) -> "Poly":
+        """x as a Poly: scalars and Coeffs become constants; NotImplemented for other types."""
+        if isinstance(x, Poly):
+            return x
+        x = Coeff.coerce(x)
+        return x if x is NotImplemented else Poly({0: x})
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly([c])
+        return Poly({0: c})
 
     @staticmethod
     def linear(q: Rat) -> "Poly":
         """The monic factor z + q."""
-        return Poly([Coeff.const(Fraction(q)), Coeff.const(1)])
+        return Poly({0: Fraction(q), 1: 1})
 
     @staticmethod
     def variable() -> "Poly":
-        return Poly([0, 1])
+        return Poly({1: 1})
+
+    @property
+    def coeffs(self) -> Tuple[Coeff, ...]:
+        """Dense view: coeffs[i] is the Coeff of z^i, for i up to the degree."""
+        return tuple(self.terms.get(i, Coeff()) for i in range(self.degree() + 1))
 
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return max(self.terms, default=-1)
 
     def leading(self) -> Coeff:
-        if not self.coeffs:
-            return Coeff()
-        return self.coeffs[-1]
-
-    def __getitem__(self, i: int) -> Coeff:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Coeff()
-
-    def __add__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[i] + other[i] for i in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return Poly.const(other) - self
+        return self.terms.get(self.degree(), Coeff())
 
     def __mul__(self, other):
-        if not isinstance(other, Poly):
-            return self.scale(other)
-        out = [Coeff() for _ in range(len(self.coeffs) + len(other.coeffs))]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out)
+        other = Poly.coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return Poly(self._product(other, operator.add))
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
         c = Coeff.coerce(c)
-        return Poly([x * c for x in self.coeffs])
+        return Poly({i: x * c for i, x in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -121,14 +101,6 @@ class Poly:
             base = base * base
             n >>= 1
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def evaluate(self, q) -> Coeff:
         """Horner evaluation; q is a rational or Coeff."""
@@ -147,14 +119,14 @@ class Poly:
             acc = c + acc.scale(r)
             vals.append(acc)
         rem = vals.pop() if vals else Coeff()
-        return Poly(vals[::-1]), rem
+        return Poly(dict(enumerate(reversed(vals)))), rem
 
     def compose_affine(self, alpha: Rat, beta: Rat) -> "Poly":
         """p(alpha*w + beta) as a polynomial in w."""
-        arg = Poly([Coeff.const(Fraction(beta)), Coeff.const(Fraction(alpha))])
+        arg = Poly({0: Fraction(beta), 1: Fraction(alpha)})
         acc = Poly()
         for c in reversed(self.coeffs):
-            acc = acc * arg + Poly.const(c)
+            acc = acc * arg + c
         return acc
 
     def shift(self, beta: Rat) -> "Poly":
@@ -163,10 +135,9 @@ class Poly:
 
     def render(self, var: str = "z") -> str:
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if not self.coeffs[i].is_zero():
-                power = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
-                parts.append(render_term(self.coeffs[i], power))
+        for i in sorted(self.terms, reverse=True):
+            power = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
+            parts.append(render_term(self.terms[i], power))
         return render_sum(parts)
 
     def __str__(self):
@@ -179,12 +150,12 @@ class Poly:
         return [c.to_json() for c in self.coeffs]
 
 
-def _acc(out: dict, key: Pole, c: Coeff) -> None:
+def _acc(out: dict, key, c: Coeff) -> None:
     out[key] = out[key] + c if key in out else c
 
 
 def _split(out: dict, c: Coeff, p: Fraction, a: int, q: Fraction, b: int) -> None:
-    """Add c / ((z+p)^a (z+q)^b), p != q, to the fraction map out."""
+    """Add c / ((z+p)^a (z+q)^b), p != q, to the term map out."""
     for (x, m), (y, n) in (((p, a), (q, b)), ((q, b), (p, a))):
         inv = 1 / (y - x)
         for i in range(m):
@@ -192,40 +163,36 @@ def _split(out: dict, c: Coeff, p: Fraction, a: int, q: Fraction, b: int) -> Non
             _acc(out, (x, m - i), c.scale(s))
 
 
-def _divide_linear(poly: Poly, fractions: Mapping[Pole, Coeff], q: Fraction):
-    """The parts of (poly + fractions) / (z+q)."""
-    quot, rem = poly.div_linear(q)
-    out = {(q, 1): rem} if rem else {}
-    for (p, j), c in fractions.items():
-        if p == q:
-            _acc(out, (q, j + 1), c)
-        elif c:
-            _split(out, c, p, j, q, 1)
-    return quot, out
+def _pair(a, b):
+    return a, b
 
 
-def _poly_times(P: Poly, fractions: Mapping[Pole, Coeff], out: dict) -> Poly:
-    """Add the fraction part of P * fractions to out and return its polynomial part.
+def _add_term_product(out: dict, a, b, c: Coeff) -> None:
+    """Add c times the product of the terms keyed a and b to the term map out.
 
-    At each pole p, P is expanded in w = z + p; the powers of w below j
-    stay fractions at p and the rest shift back to a polynomial in z.
+    A key is i for z^i or (q, j) for 1/(z+q)^j.  A power over a fraction,
+    z^i / (z+q)^j, expands z^i = ((z+q) - q)^i: the powers of z+q below j
+    stay fractions at q and the rest expand back into powers of z.
     """
-    by_pole: Dict[Fraction, list] = {}
-    for (p, j), c in fractions.items():
-        by_pole.setdefault(p, []).append((j, c))
-    poly = Poly()
-    for p, terms in by_pole.items():
-        t = P.shift(-p).coeffs
-        high = [Coeff()] * max(0, len(t) - min(j for j, _ in terms))
-        for j, c in terms:
-            for i, ti in enumerate(t):
-                if i < j:
-                    _acc(out, (p, j - i), ti * c)
-                else:
-                    high[i - j] = high[i - j] + ti * c
-        if high:
-            poly = poly + Poly(high).shift(p)
-    return poly
+    if type(a) is not int:
+        a, b = b, a
+    if type(a) is not int:
+        (p, m), (q, n) = a, b
+        if p == q:
+            _acc(out, (p, m + n), c)
+        else:
+            _split(out, c, p, m, q, n)
+    elif type(b) is int:
+        _acc(out, a + b, c)
+    else:
+        q, j = b
+        for t in range(a + 1):
+            s = comb(a, t) * (-q) ** (a - t)
+            if t < j:
+                _acc(out, (q, j - t), c.scale(s))
+            else:
+                for e in range(t - j + 1):
+                    _acc(out, e, c.scale(s * comb(t - j, e) * q ** (t - j - e)))
 
 
 def _den_poly(den: Mapping[Fraction, int]) -> Poly:
@@ -235,62 +202,58 @@ def _den_poly(den: Mapping[Fraction, int]) -> Poly:
     return out
 
 
-class RationalFn:
-    """poly_part + sum over (q, j) of fractions[(q, j)] / (z+q)^j.
+class RationalFn(Terms):
+    """sum_i c_i z^i + sum over (q, j) of c_(q,j) / (z+q)^j.
 
-    ``fractions`` holds no zero entries, so the two parts are unique.
+    One ``Terms`` map holds both parts, keyed by i and by (q, j); since it
+    holds no zero values, the form is unique.
     """
 
-    __slots__ = ("poly_part", "fractions")
-
-    def __init__(self, num: Poly | Sequence, den: Mapping[Rat, int] | None = None):
-        """num / prod (z+q)^m, reduced to partial fractions."""
-        poly = num if isinstance(num, Poly) else Poly(num)
-        fractions: dict = {}
-        for q, m in (den or {}).items():
-            if m < 0:
-                raise ValueError("negative multiplicity")
-            for _ in range(m):
-                poly, fractions = _divide_linear(poly, fractions, Fraction(q))
-        self._set(poly, fractions)
-
-    def _set(self, poly: Poly, fractions: Mapping[Pole, Coeff]) -> None:
-        object.__setattr__(self, "poly_part", poly)
-        object.__setattr__(self, "fractions", {k: c for k, c in fractions.items() if c})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFn is immutable")
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_parts(poly_part: Poly, fractions: Mapping[Pole, Coeff]) -> "RationalFn":
-        """poly_part + sum c/(z+q)^j over fractions[(q, j)] = c, with j >= 1."""
-        out = object.__new__(RationalFn)
-        out._set(poly_part, fractions)
-        return out
+    def coerce(x) -> "RationalFn":
+        """x as a RationalFn: a Poly keeps its terms map, a scalar or Coeff is a constant."""
+        if isinstance(x, RationalFn):
+            return x
+        x = Poly.coerce(x)
+        return x if x is NotImplemented else RationalFn(x.terms)
 
     @staticmethod
     def const(c) -> "RationalFn":
-        return RationalFn(Poly.const(c))
-
-    @staticmethod
-    def coerce(x) -> "RationalFn":
-        if isinstance(x, RationalFn):
-            return x
-        if isinstance(x, Poly):
-            return RationalFn(x)
-        return RationalFn.const(x)
+        return RationalFn({0: Coeff.coerce(c)})
 
     @staticmethod
     def fraction(c, q: Rat, power: int = 1) -> "RationalFn":
-        """c / (z+q)^power."""
-        return RationalFn(Poly.const(c), {Fraction(q): power})
+        """c / (z+q)^power, power >= 1."""
+        return RationalFn({(Fraction(q), power): Coeff.coerce(c)})
+
+    @staticmethod
+    def quotient(num, den: Mapping[Rat, int] | None = None) -> "RationalFn":
+        """num / prod (z+q)^m over den[q] = m, reduced to partial fractions."""
+        out = RationalFn.coerce(num)
+        for q, m in (den or {}).items():
+            if m < 0:
+                raise ValueError("negative multiplicity")
+            if m:
+                out = out * RationalFn.fraction(1, q, m)
+        return out
 
     zero: "RationalFn"
     one: "RationalFn"
 
-    # -- the reduced quotient ----------------------------------------------
+    # -- views -------------------------------------------------------------
+
+    @property
+    def poly_part(self) -> Poly:
+        return Poly({i: c for i, c in self.terms.items() if type(i) is int})
+
+    @property
+    def fractions(self) -> Dict[Pole, Coeff]:
+        """The map (q, j) -> c of the terms c / (z+q)^j."""
+        return {k: c for k, c in self.terms.items() if type(k) is tuple}
 
     @property
     def den(self) -> Dict[Fraction, int]:
@@ -304,55 +267,30 @@ class RationalFn:
     @property
     def num(self) -> Poly:
         """The numerator over ``den``; it shares no factor (z+q) with it."""
-        if not self.fractions:
-            return self.poly_part
-        return (self * RationalFn(_den_poly(self.den))).poly_part
+        den = self.den
+        return (self * _den_poly(den)).poly_part if den else self.poly_part
 
     # -- algebra -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return self.poly_part.is_zero() and not self.fractions
-
-    def __add__(self, other):
-        other = RationalFn.coerce(other)
-        out = dict(self.fractions)
-        for key, c in other.fractions.items():
-            _acc(out, key, c)
-        return RationalFn.from_parts(self.poly_part + other.poly_part, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFn.from_parts(-self.poly_part, {k: -c for k, c in self.fractions.items()})
-
-    def __sub__(self, other):
-        return self + (-RationalFn.coerce(other))
-
-    def __rsub__(self, other):
-        return RationalFn.coerce(other) - self
+    # bound in the class body so that RationalFn.__dict__ holds them (bench/spans.py traces them)
+    __add__ = __radd__ = Terms.__add__
+    __eq__ = Terms.__eq__
+    __hash__ = Terms.__hash__
 
     def __mul__(self, other):
         other = RationalFn.coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         out: dict = {}
-        poly = self.poly_part * other.poly_part
-        for P, fractions in ((self.poly_part, other.fractions), (other.poly_part, self.fractions)):
-            if not P.is_zero() and fractions:
-                poly = poly + _poly_times(P, fractions, out)
-        for (p, a), c in self.fractions.items():
-            for (q, b), d in other.fractions.items():
-                if p == q:
-                    _acc(out, (p, a + b), c * d)
-                else:
-                    _split(out, c * d, p, a, q, b)
-        return RationalFn.from_parts(poly, out)
+        for (a, b), c in self._product(other, _pair).items():
+            _add_term_product(out, a, b, c)
+        return RationalFn(out)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "RationalFn":
         c = Coeff.coerce(c)
-        return RationalFn.from_parts(
-            self.poly_part.scale(c), {k: v * c for k, v in self.fractions.items()}
-        )
+        return RationalFn({k: v * c for k, v in self.terms.items()})
 
     def __truediv__(self, other):
         """Division restricted to denominators whose roots are rational.
@@ -361,6 +299,8 @@ class RationalFn:
         monic linear factors (z+q) times a scalar.
         """
         other = RationalFn.coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero RationalFn")
         num = other.num
@@ -376,19 +316,12 @@ class RationalFn:
             roots.append(-root)
         if not num.leading().is_scalar():
             raise ValueError("divisor must reduce to a scalar times linear factors")
-        out = self * RationalFn(_den_poly(other.den)) if other.fractions else self
+        den = other.den
+        out = self * _den_poly(den) if den else self
         out = out.scale(GaussianRational(1) / (scale * num.leading().scalar()))
-        poly, fractions = out.poly_part, out.fractions
         for q in roots:
-            poly, fractions = _divide_linear(poly, fractions, q)
-        return RationalFn.from_parts(poly, fractions)
-
-    def __eq__(self, other):
-        other = RationalFn.coerce(other)
-        return self.poly_part == other.poly_part and self.fractions == other.fractions
-
-    def __hash__(self):
-        return hash((self.poly_part, frozenset(self.fractions.items())))
+            out = out * RationalFn.fraction(1, q)
+        return out
 
     # -- substitution / evaluation ----------------------------------------
 
@@ -398,18 +331,18 @@ class RationalFn:
         beta = Fraction(beta)
         if alpha == 0:
             raise ValueError("alpha must be nonzero")
-        return RationalFn.from_parts(
-            self.poly_part.compose_affine(alpha, beta),
-            {((q + beta) / alpha, j): c.scale(alpha ** -j) for (q, j), c in self.fractions.items()},
-        )
+        terms = dict(self.poly_part.compose_affine(alpha, beta).terms)
+        for (q, j), c in self.fractions.items():
+            terms[((q + beta) / alpha, j)] = c.scale(alpha ** -j)
+        return RationalFn(terms)
 
     def shift(self, beta: Rat) -> "RationalFn":
         """a(z + beta)."""
         beta = Fraction(beta)
-        return RationalFn.from_parts(
-            self.poly_part.shift(beta),
-            {(q + beta, j): c for (q, j), c in self.fractions.items()},
-        )
+        terms = dict(self.poly_part.shift(beta).terms)
+        for (q, j), c in self.fractions.items():
+            terms[(q + beta, j)] = c
+        return RationalFn(terms)
 
     def evaluate_at(self, q: Rat) -> Coeff:
         q = Fraction(q)
@@ -424,10 +357,11 @@ class RationalFn:
         """Floating evaluation for the oracle-facing paths."""
         bindings = bindings or {}
         out = 0j
-        for i, c in enumerate(self.poly_part.coeffs):
-            out += c.bind(bindings) * z ** i
-        for (q, j), c in self.fractions.items():
-            out += c.bind(bindings) / (z + float(q)) ** j
+        for key, c in self.terms.items():
+            if type(key) is int:
+                out += c.bind(bindings) * z ** key
+            else:
+                out += c.bind(bindings) / (z + float(key[0])) ** key[1]
         return out
 
     def partial_fractions(self) -> "RationalFn":
@@ -452,7 +386,7 @@ class RationalFn:
                 base = f"({var}-{-q})"
             dparts.append(base if m == 1 else f"{base}^{m}")
         d = dparts[0] if len(dparts) == 1 else "(" + "*".join(dparts) + ")"
-        if num.degree() > 0 or (num.coeffs and not num.coeffs[0].is_scalar()):
+        if num.degree() > 0 or not num.leading().is_scalar():
             n = f"({n})"
         return f"{n}/{d}"
 
@@ -516,5 +450,5 @@ def _rational_root(p: Poly) -> Fraction | None:
     return None
 
 
-RationalFn.zero = RationalFn(Poly())
-RationalFn.one = RationalFn(Poly.const(1))
+RationalFn.zero = RationalFn()
+RationalFn.one = RationalFn.const(1)

@@ -4,15 +4,17 @@ The harmonic Bergman space of the unit disk has orthogonal basis
 e_m = r^|m| e^{im theta}, m an integer: 1 = e_0, z^n = e_n, zbar^n = e_{-n}.
 A basis vector is its signed index m; a ``HarmonicVector`` is a ``Terms``
 map m -> Coeff and a ``Symbol`` a ``Terms`` map k -> f_k of its polar
-decomposition f = sum_k e^{ik theta} f_k.  A quasihomogeneous symbol
-e^{ik theta} phi(r) maps e_m to a multiple of e_{m+k}, the multiple being one
-Mellin value of phi.  ``apply_generic`` gives the "for every n at once" form
+decomposition f = sum_k e^{ik theta} f_k, whose product multiplies term by
+term: e^{ik theta} f_k * e^{il theta} g_l = e^{i(k+l) theta} f_k g_l.  A
+quasihomogeneous symbol e^{ik theta} phi(r) maps e_m to a multiple of
+e_{m+k}, the multiple being one Mellin value of phi.  ``apply_generic`` gives the "for every n at once" form
 of that action on one side, as rational functions of the basis index with
 validity thresholds; below-threshold indices are always handled concretely.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -87,17 +89,17 @@ class Symbol(Terms):
             return 0
         return max(abs(k) for k in self.terms)
 
+    def __mul__(self, other):
+        other = self.coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return Symbol(self._product(other, operator.add))
+
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for k in sorted(self.terms, reverse=True):
-            p = self.terms[k]
-            if k == 0:
-                parts.append(str(p))
-            else:
-                parts.append(f"e({k})*({p})")
-        return " + ".join(parts)
+        return render_sum(
+            str(self.terms[k]) if k == 0 else f"e({k})*({self.terms[k]})"
+            for k in sorted(self.terms, reverse=True)
+        )
 
     def __repr__(self):
         return f"Symbol<{self}>"
@@ -218,7 +220,7 @@ def branch_z(side: str, k: int, phi: RadialFunction) -> RationalFn:
     d = k on z^n and d = -k on zbar^n.
     """
     d = branch_offset(side, k)
-    return RationalFn(Poly([2 * d + 2, 1])) * mellin(phi).shift(d + 2)
+    return mellin(phi).shift(d + 2) * Poly.linear(2 * d + 2)
 
 
 def _nonzero(entries: dict) -> dict:

@@ -61,7 +61,7 @@ def rational_functions(draw, with_poly_part=True):
     """A random rational function assembled from partial-fraction pieces."""
     out = RationalFn.zero
     if with_poly_part and draw(st.booleans()):
-        out = out + RationalFn(Poly([draw(scalar_coeffs()) for _ in range(draw(st.integers(1, 3)))]))
+        out = out + RationalFn.quotient(Poly({i: draw(scalar_coeffs()) for i in range(draw(st.integers(1, 3)))}))
     for _ in range(draw(st.integers(1, 4))):
         q = draw(pole_values)
         j = draw(st.integers(1, 3))

@@ -53,6 +53,12 @@ def test_apply(capsys):
     assert report["result"]["image"] == {"z^4": "1"}
 
 
+def test_apply_renders_negative_radial_part_with_minus(capsys):
+    code, report = run_json(capsys, "apply", "--f", "z - 1", "--v", "1")
+    assert code == 0
+    assert report["result"]["f"] == "e(1)*(r) - 1"
+
+
 def test_commutator_nonzero_exits_1(capsys):
     code, report = run_json(
         capsys, "commutator", "--f", "z^2", "--u", "z + abar1*conj(z)", "--v", "z"

@@ -44,7 +44,7 @@ def test_antidifference_single_ladder():
 
 
 def test_antidifference_poly_part():
-    h = RationalFn(Poly([3, 4]))  # 4z + 3
+    h = RationalFn.quotient(Poly({0: 3, 1: 4}))  # 4z + 3
     g = antidifference(h)
     assert g.shift(2) - g == h
 
@@ -79,7 +79,7 @@ def test_solver_soundness(G, c, d):
     except TelescopeError:
         return
     assert name == "C9"
-    F = RationalFn(Poly.linear(eq.c)) * mellin(phi).shift(eq.d)
+    F = RationalFn.quotient(Poly.linear(eq.c)) * mellin(phi).shift(eq.d)
     assert F - RationalFn.const(Coeff.indet("C9")) - G == RationalFn.zero
     assert _satisfies(eq, phi)
 

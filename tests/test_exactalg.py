@@ -9,7 +9,9 @@ from htoeplitz import (
     Coeff,
     GaussianRational,
     HarmonicVector,
+    Poly,
     RadialFunction,
+    RationalFn,
     Symbol,
     UnboundIndeterminateError,
     abar,
@@ -113,14 +115,17 @@ def _sparse_sums(c1, c2):
                          (0, Coeff())),
         Symbol: (Symbol({1: r(c1, 1), -2: r(c2, 0, 1)}), Symbol({1: r(c2, 1)}),
                  (0, RadialFunction.zero)),
+        Poly: (Poly({0: c1, 2: c2}), Poly({1: c2}), (3, Coeff())),
+        RationalFn: (RationalFn({0: c1, (Fraction(2), 1): c2}),
+                     RationalFn({(Fraction(-1), 2): c1, 1: c2}), ((Fraction(1), 1), Coeff())),
     }
 
 
-@pytest.mark.parametrize("cls", [Coeff, RadialFunction, HarmonicVector, Symbol],
+@pytest.mark.parametrize("cls", [Coeff, RadialFunction, HarmonicVector, Symbol, Poly, RationalFn],
                          ids=lambda cls: cls.__name__)
 @given(coeffs(), coeffs())
 def test_sparse_sum_laws(cls, c1, c2):
-    # the four sparse sums share one +, -, ==, hash and immutability
+    # the six sparse sums share one +, -, ==, hash and immutability
     a, b, (key, zero) = _sparse_sums(c1, c2)[cls]
     assert cls({key: zero}).terms == {}
     diff = a - a
@@ -132,6 +137,28 @@ def test_sparse_sum_laws(cls, c1, c2):
         a.terms = {}
     with pytest.raises(AttributeError):
         setattr(a, "other", 1)
+
+
+# per sparse sum with a product: the constant with a given Coeff value, and a generator
+_RINGS = {
+    Coeff: (Coeff.coerce, abar(1)),
+    RadialFunction: (RadialFunction.const, RadialFunction.term(1, 1, 1)),
+    Poly: (Poly.const, Poly.variable()),
+    Symbol: (lambda c: Symbol({0: RadialFunction.const(c)}), Symbol.monomial_z(1)),
+    RationalFn: (RationalFn.const, RationalFn.fraction(1, 2) + Poly.variable()),
+}
+
+
+@pytest.mark.parametrize("cls", list(_RINGS), ids=lambda cls: cls.__name__)
+@given(coeffs(), coeffs())
+def test_product_laws(cls, c1, c2):
+    # every product of two sums runs through Terms._product; a and b share two
+    # keys, so their product sums two terms at one key
+    const, x = _RINGS[cls]
+    a, b, c = const(c1) + x + const(1), const(c2) + x + const(2), const(c1 * c2) - x
+    assert a * (b + c) == a * b + a * c
+    assert a * b == b * a
+    assert not a * cls()
 
 
 @st.composite

@@ -42,7 +42,7 @@ def test_inverse_simple():
 
 def test_inverse_rejects_improper():
     with pytest.raises(MellinInversionError):
-        inverse_mellin(RationalFn(Poly([1, 1])))
+        inverse_mellin(RationalFn.quotient(Poly({0: 1, 1: 1})))
     with pytest.raises(MellinInversionError):
         inverse_mellin(RationalFn.one)
 

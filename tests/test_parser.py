@@ -70,8 +70,8 @@ def test_rational_expressions():
     f = parse_rational_expr("-1/(z+4)^2")
     assert f == RationalFn.fraction(-1, 4, 2)
     g = parse_rational_expr("(z+6)/(z+10) - z/(z+4)")
-    assert g == (RationalFn(Poly.linear(6)) / RationalFn(Poly.linear(10))
-                 - RationalFn(Poly([0, 1])) / RationalFn(Poly.linear(4)))
+    assert g == (RationalFn.quotient(Poly.linear(6)) / RationalFn.quotient(Poly.linear(10))
+                 - RationalFn.quotient(Poly({1: 1})) / RationalFn.quotient(Poly.linear(4)))
 
 
 def test_error_positions():

@@ -14,21 +14,21 @@ def test_poly_basics():
     assert p.degree() == 1
     assert (p * p).degree() == 2
     assert p.evaluate(-2) == Coeff.const(0)
-    assert (p**3)[0] == Coeff.const(8)
+    assert (p**3).terms[0] == Coeff.const(8)
 
 
 def test_poly_shift():
     p = Poly.variable() ** 2
-    assert p.shift(1) == Poly([1, 2, 1])  # (z+1)^2
+    assert p.shift(1) == Poly({0: 1, 1: 2, 2: 1})  # (z+1)^2
 
 
 def test_pole_cancellation():
     # (z+4)/(z+4) reduces to 1
-    f = RationalFn(Poly.linear(4), {Fraction(4): 1})
+    f = RationalFn.quotient(Poly.linear(4), {Fraction(4): 1})
     assert f == RationalFn.one
     # (z+4)^2/(z+4) reduces to z+4
-    g = RationalFn(Poly.linear(4) ** 2, {Fraction(4): 1})
-    assert g == RationalFn(Poly.linear(4))
+    g = RationalFn.quotient(Poly.linear(4) ** 2, {Fraction(4): 1})
+    assert g == RationalFn.quotient(Poly.linear(4))
 
 
 def test_fraction_constructor():
@@ -42,19 +42,19 @@ def test_add_merges_poles():
 
 
 def test_division_linear_factors():
-    num = RationalFn(Poly.linear(2) * Poly.linear(4))
-    out = num / RationalFn(Poly.linear(2))
-    assert out == RationalFn(Poly.linear(4))
+    num = RationalFn.quotient(Poly.linear(2) * Poly.linear(4))
+    out = num / RationalFn.quotient(Poly.linear(2))
+    assert out == RationalFn.quotient(Poly.linear(4))
 
 
 def test_division_requires_rational_roots():
-    irreducible = RationalFn(Poly([1, 0, 1]))  # z^2 + 1
+    irreducible = RationalFn.quotient(Poly({0: 1, 2: 1}))  # z^2 + 1
     with pytest.raises(ValueError):
         RationalFn.one / irreducible
     # but a scalar multiple of linear factors divides fine
     from htoeplitz import GaussianRational
 
-    g = RationalFn(Poly.linear(11).scale(GaussianRational(0, 1)))
+    g = RationalFn.quotient(Poly.linear(11).scale(GaussianRational(0, 1)))
     assert (g / g) == RationalFn.one
 
 
@@ -92,16 +92,16 @@ def test_partial_fractions_simple():
 
 
 def test_partial_fractions_improper():
-    f = RationalFn(Poly([0, 0, 1]), {Fraction(2): 1})  # z^2/(z+2)
+    f = RationalFn.quotient(Poly({2: 1}), {Fraction(2): 1})  # z^2/(z+2)
     pf = f.partial_fractions()
-    assert pf.poly_part == Poly([-2, 1])
+    assert pf.poly_part == Poly({0: -2, 1: 1})
     assert pf.fractions[(Fraction(2), 1)] == Coeff.const(4)
 
 
 @given(rational_functions())
 @settings(deadline=None)
 def test_partial_fractions_recombine(f):
-    assert RationalFn(f.num, f.den) == f
+    assert RationalFn.quotient(f.num, f.den) == f
 
 
 @st.composite
@@ -114,7 +114,7 @@ def invertible_rationals(draw):
     for _ in range(draw(st.integers(0, 2))):
         q = Fraction(draw(st.integers(-8, 8)))
         den[q] = den.get(q, 0) + 1
-    return RationalFn(num, den)
+    return RationalFn.quotient(num, den)
 
 
 @given(rational_functions(), rational_functions())
@@ -154,14 +154,14 @@ def test_structural_eq_after_cancellation(a, c, q):
     a = a.scale(c)
     den = dict(a.den)
     den[q] = den.get(q, 0) + 1
-    b = RationalFn(a.num * Poly.linear(q), den)
+    b = RationalFn.quotient(a.num * Poly.linear(q), den)
     assert b == a and hash(b) == hash(a)
 
 
 def test_render():
-    f = RationalFn.fraction(1, 6) - RationalFn(Poly([0, 1]), {Fraction(4): 1})
+    f = RationalFn.fraction(1, 6) - RationalFn.quotient(Poly({1: 1}), {Fraction(4): 1})
     assert "z" in f.render()
     # the shape that shows up in the induction step
-    g = RationalFn(Poly.linear(6), {Fraction(10): 1})
+    g = RationalFn.quotient(Poly.linear(6), {Fraction(10): 1})
     assert g.render() == "(z + 6)/(z+10)"
 
