@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 from .exactalg import C as C_, Coeff, abar as abar_, cname
 from .mellin import MellinInversionError, inverse_mellin, mellin
 from .radial import RadialFunction
-from .ratfun import Poly, RationalFn
+from .ratfun import RationalFn
 from .toeplitz import (
     ANALYTIC,
     CONJUGATE,
@@ -54,12 +54,12 @@ def antidifference(h: RationalFn) -> RationalFn:
     zero along every progression or no rational solution exists.  A
     polynomial part is integrated by solving top coefficient first.
     """
-    poly = Poly()
+    poly = RationalFn.zero
     remaining = h.poly_part
     while remaining:
         deg = remaining.degree()
         coef = remaining.leading() / Fraction(2 * (deg + 1))
-        term = Poly({deg + 1: coef})
+        term = RationalFn.poly({deg + 1: coef})
         poly = poly + term
         remaining = remaining - (term.shift(2) - term)
     # fractions, grouped by (pole residue class mod 2, power)
@@ -96,7 +96,7 @@ def _satisfies(eq: FunctionalEquation, phi: RadialFunction) -> bool:
     kernel terms (multiples of r^{d-c-...} absorbed into the constant), and
     the stage's constant is defined exactly by this normalization.
     """
-    F = mellin(phi).shift(eq.d) * Poly.linear(eq.c)
+    F = mellin(phi).shift(eq.d) * RationalFn.linear(eq.c)
     return F - eq.G == RationalFn.const(Coeff.indet(eq.unknown_name))
 
 
@@ -112,7 +112,7 @@ def solve_telescoping(eq: FunctionalEquation) -> Tuple[str, RadialFunction]:
     c_term = RationalFn.const(Coeff.indet(eq.unknown_name))
     numerator = c_term + eq.G.shift(-eq.d)
     try:
-        phihat = numerator / Poly.linear(eq.c - eq.d)
+        phihat = numerator / RationalFn.linear(eq.c - eq.d)
         phi = inverse_mellin(phihat)
     except MellinInversionError as exc:
         raise TelescopeError(f"G incompatible with shape: {exc}") from exc
@@ -170,7 +170,7 @@ def constraint_at_offset(u: Symbol, known: Symbol, g: int, side: str) -> Functio
         c, d = Fraction(0), Fraction(-g)
         # unknown terms: -(z-2g) phihat(z-g+2) + z(z-2g)/(z+2) phihat(z-g);
         # multiplying by M normalizes them to F(z+2) - F(z) with F = z phihat(z-g)
-        M = RationalFn.quotient(-Poly.linear(2), {-2 * g: 1})
+        M = RationalFn.quotient(-RationalFn.linear(2), {-2 * g: 1})
     G = RationalFn.zero
     rhs = RationalFn.zero
     residual = RationalFn.zero

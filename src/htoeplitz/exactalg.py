@@ -5,9 +5,9 @@ multivariate polynomial over Gaussian rationals in the formal indeterminates
 ``C<k>`` / ``Cm<k>`` (undetermined constants, index k an integer) and
 ``abar<l>`` (the conjugated Taylor coefficients of the co-analytic symbol
 part, l >= 1).  Values are immutable and all arithmetic is exact.
-``Terms`` is the sparse sum that ``Coeff`` and the radial, vector, symbol,
-polynomial and rational-function types share, with the one product loop
-``Terms._product``.
+``Terms`` is the sparse sum that ``Coeff`` and the radial, vector, symbol
+and rational-function types share, with the one product loop
+``Terms._product``; a polynomial is a rational function with no fractions.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ class Terms:
     """A finite sum sum_key value * key, stored as a map key -> nonzero value.
 
     The one immutable sparse-sum type: ``Coeff``, ``RadialFunction``,
-    ``HarmonicVector``, ``Symbol``, ``Poly`` and ``RationalFn`` subclass it
+    ``HarmonicVector``, ``Symbol`` and ``RationalFn`` subclass it
     and share its addition, negation, equality and hash, and every product
     of two sums runs through ``_product``.  Falsy (zero) values are dropped
     on construction, so equal sums have equal maps.  ``coerce`` reads an

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .exactalg import Coeff, GaussianRational, indet_key
 from .radial import RadialFunction
-from .ratfun import Poly, RationalFn
+from .ratfun import RationalFn
 from .toeplitz import Symbol
 
 
@@ -326,7 +326,7 @@ class _RatParser(_Parser):
             if val == "i":
                 return RationalFn.const(Coeff.const(GaussianRational(0, 1)))
             if val == "z":
-                return RationalFn.coerce(Poly.variable())
+                return RationalFn.poly({1: 1})
             try:
                 indet_key(val)
             except ValueError:

@@ -1,13 +1,14 @@
 """Univariate rational functions over Coeff, stored as partial fractions.
 
-``Poly`` is a sparse polynomial in one variable: a ``Terms`` map from the
-degree i to the nonzero ``Coeff`` of z^i.  ``RationalFn`` is
-sum_i c_i z^i + sum over (q, j) of c / (z+q)^j, every pole location q a
-concrete rational and j >= 1, held as one ``Terms`` map whose keys are i and
-(q, j); ``poly_part`` and ``fractions`` are views of it.  That form is
-unique, so equality is structural; sums merge terms, shifts and affine
-substitutions relabel poles, and a product multiplies term by term, with a
-product of fractions at two poles split by
+``RationalFn`` is sum_i c_i z^i + sum over (q, j) of c / (z+q)^j, every
+pole location q a concrete rational and j >= 1, held as one ``Terms`` map
+whose keys are i and (q, j); ``poly_part`` and ``fractions`` are views of it.
+A polynomial is a ``RationalFn`` whose keys are all ints, built by
+``RationalFn.poly``; ``coeffs`` is the dense view of the int keys.  That form
+is unique, so equality is structural; sums merge terms, shifts and affine
+substitutions relabel poles and expand z^i by the binomial theorem, and a
+product multiplies term by term, with a product of fractions at two poles
+split by
 1/((z+p)^a (z+q)^b) = sum_n (-1)^n C(b+n-1, n) (q-p)^(-b-n) / (z+p)^(a-n)
 + (p <-> q).  The Mellin images of the radial span are exactly the forms
 with no polynomial part.  ``RationalFn.quotient`` reduces num / prod (z+q)^m
@@ -17,7 +18,6 @@ monic denominator, for rendering and serialization.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, lcm
@@ -35,119 +35,6 @@ class PoleError(ArithmeticError):
 
     def __str__(self):
         return f"evaluation at a pole: z = {self.q}"
-
-
-class Poly(Terms):
-    """Sparse polynomial: a map degree i -> nonzero Coeff of z^i."""
-
-    __slots__ = ()
-
-    def __init__(self, terms: Mapping[int, object] | None = None):
-        super().__init__({i: Coeff.coerce(c) for i, c in (terms or {}).items()})
-
-    @staticmethod
-    def coerce(x) -> "Poly":
-        """x as a Poly: scalars and Coeffs become constants; NotImplemented for other types."""
-        if isinstance(x, Poly):
-            return x
-        x = Coeff.coerce(x)
-        return x if x is NotImplemented else Poly({0: x})
-
-    @staticmethod
-    def const(c) -> "Poly":
-        return Poly({0: c})
-
-    @staticmethod
-    def linear(q: Rat) -> "Poly":
-        """The monic factor z + q."""
-        return Poly({0: Fraction(q), 1: 1})
-
-    @staticmethod
-    def variable() -> "Poly":
-        return Poly({1: 1})
-
-    @property
-    def coeffs(self) -> Tuple[Coeff, ...]:
-        """Dense view: coeffs[i] is the Coeff of z^i, for i up to the degree."""
-        return tuple(self.terms.get(i, Coeff()) for i in range(self.degree() + 1))
-
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return max(self.terms, default=-1)
-
-    def leading(self) -> Coeff:
-        return self.terms.get(self.degree(), Coeff())
-
-    def __mul__(self, other):
-        other = Poly.coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Poly(self._product(other, operator.add))
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "Poly":
-        c = Coeff.coerce(c)
-        return Poly({i: x * c for i, x in self.terms.items()})
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power")
-        out = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def evaluate(self, q) -> Coeff:
-        """Horner evaluation; q is a rational or Coeff."""
-        q = Coeff.coerce(Fraction(q)) if isinstance(q, (int, Fraction)) else Coeff.coerce(q)
-        acc = Coeff()
-        for c in reversed(self.coeffs):
-            acc = acc * q + c
-        return acc
-
-    def div_linear(self, q: Rat) -> Tuple["Poly", Coeff]:
-        """Quotient and remainder of division by z + q (synthetic division)."""
-        r = -Fraction(q)
-        acc = Coeff()
-        vals = []
-        for c in reversed(self.coeffs):
-            acc = c + acc.scale(r)
-            vals.append(acc)
-        rem = vals.pop() if vals else Coeff()
-        return Poly(dict(enumerate(reversed(vals)))), rem
-
-    def compose_affine(self, alpha: Rat, beta: Rat) -> "Poly":
-        """p(alpha*w + beta) as a polynomial in w."""
-        arg = Poly({0: Fraction(beta), 1: Fraction(alpha)})
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * arg + c
-        return acc
-
-    def shift(self, beta: Rat) -> "Poly":
-        """p(w + beta)."""
-        return self.compose_affine(1, beta)
-
-    def render(self, var: str = "z") -> str:
-        parts = []
-        for i in sorted(self.terms, reverse=True):
-            power = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
-            parts.append(render_term(self.terms[i], power))
-        return render_sum(parts)
-
-    def __str__(self):
-        return self.render()
-
-    def __repr__(self):
-        return f"Poly<{self}>"
-
-    def to_json(self):
-        return [c.to_json() for c in self.coeffs]
 
 
 def _acc(out: dict, key, c: Coeff) -> None:
@@ -195,10 +82,12 @@ def _add_term_product(out: dict, a, b, c: Coeff) -> None:
                     _acc(out, e, c.scale(s * comb(t - j, e) * q ** (t - j - e)))
 
 
-def _den_poly(den: Mapping[Fraction, int]) -> Poly:
-    out = Poly.const(1)
+def _den_poly(den: Mapping[Fraction, int]) -> "RationalFn":
+    """The monic polynomial prod (z+q)^m over den[q] = m."""
+    out = RationalFn.one
     for q, m in den.items():
-        out = out * (Poly.linear(q) ** m)
+        for _ in range(m):
+            out = out * RationalFn.linear(q)
     return out
 
 
@@ -215,15 +104,25 @@ class RationalFn(Terms):
 
     @staticmethod
     def coerce(x) -> "RationalFn":
-        """x as a RationalFn: a Poly keeps its terms map, a scalar or Coeff is a constant."""
+        """x as a RationalFn: scalars and Coeffs become constants; NotImplemented for other types."""
         if isinstance(x, RationalFn):
             return x
-        x = Poly.coerce(x)
-        return x if x is NotImplemented else RationalFn(x.terms)
+        x = Coeff.coerce(x)
+        return x if x is NotImplemented else RationalFn({0: x})
+
+    @staticmethod
+    def poly(terms: Mapping[int, object]) -> "RationalFn":
+        """The polynomial sum_i terms[i] z^i, each value read as a Coeff."""
+        return RationalFn({i: Coeff.coerce(c) for i, c in terms.items()})
 
     @staticmethod
     def const(c) -> "RationalFn":
-        return RationalFn({0: Coeff.coerce(c)})
+        return RationalFn.poly({0: c})
+
+    @staticmethod
+    def linear(q: Rat) -> "RationalFn":
+        """The monic factor z + q."""
+        return RationalFn.poly({0: Fraction(q), 1: 1})
 
     @staticmethod
     def fraction(c, q: Rat, power: int = 1) -> "RationalFn":
@@ -247,8 +146,21 @@ class RationalFn(Terms):
     # -- views -------------------------------------------------------------
 
     @property
-    def poly_part(self) -> Poly:
-        return Poly({i: c for i, c in self.terms.items() if type(i) is int})
+    def poly_part(self) -> "RationalFn":
+        return RationalFn({i: c for i, c in self.terms.items() if type(i) is int})
+
+    def degree(self) -> int:
+        """Degree of the polynomial part, with the zero polynomial at -1."""
+        return max((i for i in self.terms if type(i) is int), default=-1)
+
+    def leading(self) -> Coeff:
+        """The Coeff of z^degree in the polynomial part."""
+        return self.terms.get(self.degree(), Coeff())
+
+    @property
+    def coeffs(self) -> Tuple[Coeff, ...]:
+        """Dense view of the polynomial part: coeffs[i] is the Coeff of z^i."""
+        return tuple(self.terms.get(i, Coeff()) for i in range(self.degree() + 1))
 
     @property
     def fractions(self) -> Dict[Pole, Coeff]:
@@ -265,10 +177,10 @@ class RationalFn(Terms):
         return out
 
     @property
-    def num(self) -> Poly:
-        """The numerator over ``den``; it shares no factor (z+q) with it."""
+    def num(self) -> "RationalFn":
+        """The numerator polynomial over ``den``; it shares no factor (z+q) with it."""
         den = self.den
-        return (self * _den_poly(den)).poly_part if den else self.poly_part
+        return (self * _den_poly(den)).poly_part if den else self
 
     # -- algebra -----------------------------------------------------------
 
@@ -312,7 +224,8 @@ class RationalFn(Terms):
             root = _rational_root(num)
             if root is None:
                 raise ValueError("divisor numerator has no rational root; cannot invert")
-            num, _ = num.div_linear(-root)
+            # z - root divides num, so this product leaves no fraction at -root
+            num = num * RationalFn.fraction(1, -root)
             roots.append(-root)
         if not num.leading().is_scalar():
             raise ValueError("divisor must reduce to a scalar times linear factors")
@@ -328,29 +241,40 @@ class RationalFn(Terms):
     def affine_substitute(self, alpha: Rat, beta: Rat) -> "RationalFn":
         """a(alpha*w + beta) as a RationalFn in w."""
         alpha = Fraction(alpha)
-        beta = Fraction(beta)
         if alpha == 0:
             raise ValueError("alpha must be nonzero")
-        terms = dict(self.poly_part.compose_affine(alpha, beta).terms)
-        for (q, j), c in self.fractions.items():
-            terms[((q + beta) / alpha, j)] = c.scale(alpha ** -j)
-        return RationalFn(terms)
+        return self._substitute(alpha, Fraction(beta))
 
     def shift(self, beta: Rat) -> "RationalFn":
         """a(z + beta)."""
-        beta = Fraction(beta)
-        terms = dict(self.poly_part.shift(beta).terms)
-        for (q, j), c in self.fractions.items():
-            terms[(q + beta, j)] = c
+        return self._substitute(1, Fraction(beta))
+
+    def _substitute(self, alpha: Rat, beta: Fraction) -> "RationalFn":
+        """a(alpha*w + beta), alpha nonzero: (alpha w + beta)^i expands by the
+        binomial theorem and c/(z+q)^j becomes c alpha^-j / (w + (q+beta)/alpha)^j."""
+        terms: dict = {}
+        for key, c in self.terms.items():
+            if type(key) is int:
+                for k in range(key + 1):
+                    s = comb(key, k) * alpha ** k * beta ** (key - k)
+                    if s:
+                        _acc(terms, k, c.scale(s))
+            else:
+                q, j = key
+                terms[((q + beta) / alpha, j)] = c if alpha == 1 else c.scale(alpha ** -j)
         return RationalFn(terms)
 
     def evaluate_at(self, q: Rat) -> Coeff:
         q = Fraction(q)
-        out = self.poly_part.evaluate(q)
-        for (p, j), c in self.fractions.items():
-            if q + p == 0:
-                raise PoleError(-p)
-            out = out + c.scale(1 / (q + p) ** j)
+        out = Coeff()
+        for key, c in self.terms.items():
+            if type(key) is int:
+                out = out + c.scale(q ** key)
+            else:
+                p, j = key
+                if q + p == 0:
+                    raise PoleError(-p)
+                out = out + c.scale(1 / (q + p) ** j)
         return out
 
     def bind_eval(self, z: complex, bindings=None) -> complex:
@@ -372,7 +296,10 @@ class RationalFn(Terms):
 
     def render(self, var: str = "z") -> str:
         num, den = self.num, self.den
-        n = num.render(var)
+        n = render_sum(
+            render_term(num.terms[i], "" if i == 0 else var if i == 1 else f"{var}^{i}")
+            for i in sorted(num.terms, reverse=True)
+        )
         if not den:
             return n
         dparts = []
@@ -398,18 +325,23 @@ class RationalFn(Terms):
 
     def to_json(self):
         return {
-            "num": self.num.to_json(),
+            "num": [c.to_json() for c in self.num.coeffs],
             "den": [{"q": str(q), "m": m} for q, m in sorted(self.den.items())],
         }
 
 
-def _rational_root(p: Poly) -> Fraction | None:
+_ROOT_SEARCH_MAX = 10**12   # caps the trial division at 10**6 steps per coefficient
+
+
+def _rational_root(p: RationalFn) -> Fraction | None:
     """A rational root of a polynomial with scalar rational coefficients.
 
-    Searches divisors of the trailing/leading coefficients (rational root
-    theorem); returns None if none works or coefficients are not scalar
-    rationals.  Used only to invert denominators, which in this package are
-    products of (z+q) with small rational q.
+    A linear a1 z + a0 has the root -a0/a1.  Otherwise searches divisors of
+    the trailing/leading coefficients (rational root theorem) by trial
+    division, and raises ValueError when either exceeds ``_ROOT_SEARCH_MAX``,
+    which bounds that division.  Returns None if no divisor works or the
+    coefficients are not scalar rationals.  Used only to invert denominators,
+    which in this package are products of (z+q) with small rational q.
     """
     cs = []
     for c in p.coeffs:
@@ -421,6 +353,8 @@ def _rational_root(p: Poly) -> Fraction | None:
         cs.append(s.re)
     if not cs:
         return None
+    if len(cs) == 2:
+        return -cs[0] / cs[1]
     # strip zero roots
     if cs[0] == 0:
         return Fraction(0)
@@ -431,6 +365,11 @@ def _rational_root(p: Poly) -> Fraction | None:
     if g > 1:
         ints = [i // g for i in ints]
     a0, an = abs(ints[0]), abs(ints[-1])
+    if max(a0, an) > _ROOT_SEARCH_MAX:
+        raise ValueError(
+            f"divisor of degree {len(cs) - 1} has a coefficient above 10^12; "
+            "its rational roots are not searched"
+        )
 
     def divisors(n):
         out = set()

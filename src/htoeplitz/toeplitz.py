@@ -7,21 +7,22 @@ map m -> Coeff and a ``Symbol`` a ``Terms`` map k -> f_k of its polar
 decomposition f = sum_k e^{ik theta} f_k, whose product multiplies term by
 term: e^{ik theta} f_k * e^{il theta} g_l = e^{i(k+l) theta} f_k g_l.  A
 quasihomogeneous symbol e^{ik theta} phi(r) maps e_m to a multiple of
-e_{m+k}, the multiple being one Mellin value of phi.  ``apply_generic`` gives the "for every n at once" form
-of that action on one side, as rational functions of the basis index with
-validity thresholds; below-threshold indices are always handled concretely.
+e_{m+k}, the multiple being one Mellin value of phi.  ``apply_generic`` gives
+the "for every n at once" form of that action on one side, a ``Terms`` map
+from the index offset to a rational function of the basis index, valid above
+a threshold; below-threshold indices are always handled concretely.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict
 
 from .exactalg import Coeff, Terms, aname, render_sum, render_term
 from .mellin import mellin, mellin_at
 from .radial import RadialFunction
-from .ratfun import Poly, RationalFn
+from .ratfun import RationalFn
 
 ANALYTIC = "analytic"
 CONJUGATE = "conjugate"
@@ -204,10 +205,6 @@ def commutator_residual(f: Symbol, u: Symbol, m: int) -> HarmonicVector:
 # generic (uniform in n) application
 
 
-def _side_min(side: str) -> int:
-    return 0 if side == ANALYTIC else 1
-
-
 def branch_offset(side: str, k: int) -> int:
     """Index offset d of e^{ik theta} on one input side above threshold: n -> n + d."""
     return k if side == ANALYTIC else -k
@@ -220,67 +217,53 @@ def branch_z(side: str, k: int, phi: RadialFunction) -> RationalFn:
     d = k on z^n and d = -k on zbar^n.
     """
     d = branch_offset(side, k)
-    return mellin(phi).shift(d + 2) * Poly.linear(2 * d + 2)
+    return mellin(phi).shift(d + 2) * RationalFn.linear(2 * d + 2)
 
 
-def _nonzero(entries: dict) -> dict:
-    """The entries d -> (fn, n0) of a generic action whose fn is not zero."""
-    return {d: (fn, n0) for d, (fn, n0) in entries.items() if not fn.is_zero()}
-
-
-def apply_generic(f: Symbol, side: str) -> dict:
+def apply_generic(f: Symbol, side: str) -> Terms:
     """Generic form of T_f on one input side, above-threshold branches only.
 
-    The map offset d -> (coeff_fn(n), n0): basis index n on `side` goes to
-    index n + d on the same side with coefficient coeff_fn(n), for every
-    n >= n0.  Indices below the threshold must be handled concretely.
+    The map offset d -> coeff_fn(n): basis index n on `side` goes to index
+    n + d on the same side with coefficient coeff_fn(n), for every n such
+    that n and n + d both index this side, so for every n >= 1 + |d|.
+    Indices below that must be handled concretely.
     """
-    smin = _side_min(side)
-    entries: Dict[int, Tuple[RationalFn, int]] = {}
-    for k, phi in f.terms.items():
-        d = branch_offset(side, k)
-        # valid while both n and n + d are indices on this side
-        entries[d] = (branch_z(side, k, phi).affine_substitute(2, 0), max(smin, smin - d))
-    return _nonzero(entries)
+    return Terms({branch_offset(side, k): branch_z(side, k, phi).affine_substitute(2, 0)
+                  for k, phi in f.terms.items()})
 
 
-def compose_generic(a: dict, b: dict, side: str) -> dict:
+def compose_generic(a: Terms, b: Terms) -> Terms:
     """The generic action of (a after b) on one side: apply b first, then a."""
-    smin = _side_min(side)
-    entries: Dict[int, Tuple[RationalFn, int]] = {}
-    for db, (fb, n0b) in b.items():
-        for da, (fa, n0a) in a.items():
+    entries: Dict[int, RationalFn] = {}
+    for db, fb in b.terms.items():
+        for da, fa in a.terms.items():
             d = da + db
             fn = fb * fa.affine_substitute(1, db)
-            n0 = max(n0b, n0a - db, smin - d)
-            if d in entries:
-                old_fn, old_n0 = entries[d]
-                entries[d] = (old_fn + fn, max(old_n0, n0))
-            else:
-                entries[d] = (fn, n0)
-    return _nonzero(entries)
+            entries[d] = entries[d] + fn if d in entries else fn
+    return Terms(entries)
 
 
-def generic_residual(f: Symbol, u: Symbol, side: str) -> dict:
+def generic_residual(f: Symbol, u: Symbol, side: str) -> Terms:
     """Generic entries of T_f T_u - T_u T_f on one input side."""
     af, au = apply_generic(f, side), apply_generic(u, side)
-    fu = compose_generic(af, au, side)   # T_f after T_u
-    uf = compose_generic(au, af, side)
-    entries: Dict[int, Tuple[RationalFn, int]] = {}
-    for d in set(fu) | set(uf):
-        f1, n1 = fu.get(d, (RationalFn.zero, 0))
-        f2, n2 = uf.get(d, (RationalFn.zero, 0))
-        entries[d] = (f1 - f2, max(n1, n2))
-    return _nonzero(entries)
+    fu = compose_generic(af, au).terms   # T_f after T_u
+    uf = compose_generic(au, af).terms
+    zero = RationalFn.zero
+    # offsets in set order: the order in which generic_nonzero lists them
+    return Terms({d: fu.get(d, zero) - uf.get(d, zero) for d in set(fu) | set(uf)})
 
 
 @dataclass
 class CommutationReport:
     commutes: bool
     threshold: int
-    generic: Dict[str, Dict[int, Tuple[RationalFn, int]]]
-    generic_nonzero: list
+    generic: Dict[str, Terms]        # side -> generic residual, valid from threshold
     witnesses: list = field(default_factory=list)
+
+    @property
+    def generic_nonzero(self) -> list:
+        """(side, offset) of every entry of the generic residuals, all nonzero."""
+        return [(side, d) for side, entries in self.generic.items() for d in entries.terms]
 
     def to_json(self):
         return {
@@ -288,8 +271,9 @@ class CommutationReport:
             "threshold": self.threshold,
             "generic_residuals": {
                 side: {
-                    str(d): {"fn": fn.render("n"), "valid_from": n0, "zero": fn.is_zero()}
-                    for d, (fn, n0) in sorted(entries.items())
+                    str(d): {"fn": fn.render("n"), "valid_from": self.threshold,
+                             "zero": fn.is_zero()}
+                    for d, fn in sorted(entries.terms.items())
                 }
                 for side, entries in self.generic.items()
             },
@@ -314,13 +298,7 @@ def verify_commute(f: Symbol, u: Symbol, n_max: int) -> CommutationReport:
     _check_integrable(f)
     _check_integrable(u)
     n_star = f.max_abs_degree() + u.max_abs_degree() + 1
-    generic = {}
-    nonzero = []
-    for side in (ANALYTIC, CONJUGATE):
-        ga = generic_residual(f, u, side)
-        # re-anchor validity at the global threshold
-        generic[side] = {d: (fn, max(n0, n_star)) for d, (fn, n0) in ga.items()}
-        nonzero.extend((side, d) for d in generic[side])
+    generic = {side: generic_residual(f, u, side) for side in (ANALYTIC, CONJUGATE)}
     top = max(n_max, n_star)
     f_cols: dict = {}
     u_cols: dict = {}
@@ -330,9 +308,8 @@ def verify_commute(f: Symbol, u: Symbol, n_max: int) -> CommutationReport:
         if not res.is_zero():
             witnesses.append((m, res))
     return CommutationReport(
-        commutes=not nonzero and not witnesses,
+        commutes=not any(generic.values()) and not witnesses,
         threshold=n_star,
         generic=generic,
-        generic_nonzero=nonzero,
         witnesses=witnesses,
     )

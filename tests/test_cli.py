@@ -1,4 +1,5 @@
 import json
+import time
 
 import jsonschema
 import pytest
@@ -45,6 +46,15 @@ def test_invmellin_improper_is_math_failure(capsys):
     code, report = run_json(capsys, "invmellin", "z+1")
     assert code == 1
     assert report["status"] == "fail"
+
+
+def test_invmellin_large_pole_is_read_exactly(capsys):
+    # the root of a linear divisor is -a0/a1, with no search over divisors of a0
+    start = time.perf_counter()
+    code, report = run_json(capsys, "invmellin", "1/(z+10000000000000000)")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert report["result"]["result"] == "r^10000000000000000"
 
 
 def test_apply(capsys):
@@ -171,6 +181,8 @@ def test_integrable_boundary_still_applies(capsys):
         ("1/(z^2+1)", 3),        # divisor with no rational root
         ("1/(abar1*z+1)", 3),    # divisor with a symbolic root
         ("(z^2+1)^-1", 1),       # the same through a negative power
+        # a quadratic divisor whose coefficients are too large to search for roots
+        ("1/((z+123456789012345678901234567890)*(z+1))", 3),
     ],
 )
 def test_bad_divisor_is_usage_error(capsys, expr, column):

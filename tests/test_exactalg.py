@@ -9,7 +9,6 @@ from htoeplitz import (
     Coeff,
     GaussianRational,
     HarmonicVector,
-    Poly,
     RadialFunction,
     RationalFn,
     Symbol,
@@ -106,27 +105,28 @@ def test_coeff_output_independent_of_insertion_order():
 
 
 def _sparse_sums(c1, c2):
-    """Per Terms subclass: two values a, b built from two Coeffs, and one zero entry."""
+    """Per sparse sum: its class, two values a, b built from two Coeffs, and one zero entry."""
     r = RadialFunction.term
     return {
-        Coeff: (c1 + 1, c2 * abar(1), ((), GaussianRational(0))),
-        RadialFunction: (r(c1, 1) + r(c2, -1, 2), r(c2, 1), ((0, 0), Coeff())),
-        HarmonicVector: (HarmonicVector({0: c1, -2: c2}), HarmonicVector({0: c2, 3: c1}),
-                         (0, Coeff())),
-        Symbol: (Symbol({1: r(c1, 1), -2: r(c2, 0, 1)}), Symbol({1: r(c2, 1)}),
-                 (0, RadialFunction.zero)),
-        Poly: (Poly({0: c1, 2: c2}), Poly({1: c2}), (3, Coeff())),
-        RationalFn: (RationalFn({0: c1, (Fraction(2), 1): c2}),
-                     RationalFn({(Fraction(-1), 2): c1, 1: c2}), ((Fraction(1), 1), Coeff())),
+        "Coeff": (Coeff, c1 + 1, c2 * abar(1), ((), GaussianRational(0))),
+        "RadialFunction": (RadialFunction, r(c1, 1) + r(c2, -1, 2), r(c2, 1), ((0, 0), Coeff())),
+        "HarmonicVector": (HarmonicVector, HarmonicVector({0: c1, -2: c2}),
+                           HarmonicVector({0: c2, 3: c1}), (0, Coeff())),
+        "Symbol": (Symbol, Symbol({1: r(c1, 1), -2: r(c2, 0, 1)}), Symbol({1: r(c2, 1)}),
+                   (0, RadialFunction.zero)),
+        "polynomial": (RationalFn, RationalFn.poly({0: c1, 2: c2}), RationalFn.poly({1: c2}),
+                       (3, Coeff())),
+        "RationalFn": (RationalFn, RationalFn({0: c1, (Fraction(2), 1): c2}),
+                       RationalFn({(Fraction(-1), 2): c1, 1: c2}), ((Fraction(1), 1), Coeff())),
     }
 
 
-@pytest.mark.parametrize("cls", [Coeff, RadialFunction, HarmonicVector, Symbol, Poly, RationalFn],
-                         ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("case", ["Coeff", "RadialFunction", "HarmonicVector", "Symbol",
+                                  "polynomial", "RationalFn"])
 @given(coeffs(), coeffs())
-def test_sparse_sum_laws(cls, c1, c2):
-    # the six sparse sums share one +, -, ==, hash and immutability
-    a, b, (key, zero) = _sparse_sums(c1, c2)[cls]
+def test_sparse_sum_laws(case, c1, c2):
+    # the sparse sums share one +, -, ==, hash and immutability
+    cls, a, b, (key, zero) = _sparse_sums(c1, c2)[case]
     assert cls({key: zero}).terms == {}
     diff = a - a
     assert type(diff) is cls and diff.is_zero() and not diff
@@ -139,22 +139,23 @@ def test_sparse_sum_laws(cls, c1, c2):
         setattr(a, "other", 1)
 
 
-# per sparse sum with a product: the constant with a given Coeff value, and a generator
+# per sparse sum with a product: its class, the constant with a given Coeff value,
+# and a generator; the polynomial case keeps the z^i * z^k products on their own
 _RINGS = {
-    Coeff: (Coeff.coerce, abar(1)),
-    RadialFunction: (RadialFunction.const, RadialFunction.term(1, 1, 1)),
-    Poly: (Poly.const, Poly.variable()),
-    Symbol: (lambda c: Symbol({0: RadialFunction.const(c)}), Symbol.monomial_z(1)),
-    RationalFn: (RationalFn.const, RationalFn.fraction(1, 2) + Poly.variable()),
+    "Coeff": (Coeff, Coeff.coerce, abar(1)),
+    "RadialFunction": (RadialFunction, RadialFunction.const, RadialFunction.term(1, 1, 1)),
+    "polynomial": (RationalFn, RationalFn.const, RationalFn.poly({1: 1})),
+    "Symbol": (Symbol, lambda c: Symbol({0: RadialFunction.const(c)}), Symbol.monomial_z(1)),
+    "RationalFn": (RationalFn, RationalFn.const, RationalFn.fraction(1, 2) + RationalFn.poly({1: 1})),
 }
 
 
-@pytest.mark.parametrize("cls", list(_RINGS), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("case", list(_RINGS))
 @given(coeffs(), coeffs())
-def test_product_laws(cls, c1, c2):
+def test_product_laws(case, c1, c2):
     # every product of two sums runs through Terms._product; a and b share two
     # keys, so their product sums two terms at one key
-    const, x = _RINGS[cls]
+    cls, const, x = _RINGS[case]
     a, b, c = const(c1) + x + const(1), const(c2) + x + const(2), const(c1 * c2) - x
     assert a * (b + c) == a * b + a * c
     assert a * b == b * a

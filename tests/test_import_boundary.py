@@ -1,7 +1,8 @@
-"""The exact engine never imports scipy; only the quadrature oracle does.
+"""The exact engine never imports scipy; only the quadrature oracle does;
+and every public name the package exports resolves.
 
 Each check runs in a fresh interpreter, so that no earlier test has
-already put scipy into ``sys.modules``.
+already put scipy into ``sys.modules`` or imported a module by itself.
 """
 
 import json
@@ -37,6 +38,14 @@ report = json.loads(out.getvalue())
 print(json.dumps({"code": code, "status": report["status"], "scipy": "scipy" in sys.modules}))
 """
 
+STAR_IMPORT = """
+import json
+import htoeplitz
+from htoeplitz import *
+
+print(json.dumps({"missing": [n for n in htoeplitz.__all__ if n not in globals()]}))
+"""
+
 
 def run_fresh(code: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -56,3 +65,8 @@ def test_exact_commands_leave_scipy_unimported():
 def test_oracle_check_loads_scipy_on_demand():
     out = run_fresh(ORACLE_COMMAND)
     assert out == {"code": 0, "status": "ok", "scipy": True}
+
+
+def test_every_export_resolves_through_star_import():
+    # a name left in __all__ after its definition is deleted makes the import raise
+    assert run_fresh(STAR_IMPORT) == {"missing": []}
