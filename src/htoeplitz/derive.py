@@ -171,6 +171,12 @@ def constraint_at_offset(u: Symbol, known: Symbol, g: int, side: str) -> Functio
         # unknown terms: -(z-2g) phihat(z-g+2) + z(z-2g)/(z+2) phihat(z-g);
         # multiplying by M normalizes them to F(z+2) - F(z) with F = z phihat(z-g)
         M = RationalFn.quotient(-RationalFn.linear(2), {-2 * g: 1})
+    # G is built from per-term shift sums, not as antidifference(rhs).  Both
+    # solve G(z+2) - G(z) = rhs, but they differ by a constant, and that
+    # constant decides which combination of constants the fresh C absorbs.
+    # _force_constants zeroes every constant in a non-integrable coefficient,
+    # which is right only under this normalization: with G = antidifference(rhs)
+    # the main theorem's C1 is forced away at L = 5 and L = 10, leaving only C0.
     G = RationalFn.zero
     rhs = RationalFn.zero
     residual = RationalFn.zero
@@ -403,68 +409,6 @@ def _r(coeff, a, b=0) -> RadialFunction:
     return RadialFunction.term(coeff, a, b)
 
 
-def _printed_formulas() -> Dict[str, RadialFunction]:
-    C1, C2, C3, C4 = C_(1), C_(2), C_(3), C_(4)
-    C0, Cm1, Cm2, Cm3, Cm4 = C_(0), C_(-1), C_(-2), C_(-3), C_(-4)
-    a1, a2, a3, a4 = abar_(1), abar_(2), abar_(3), abar_(4)
-    h = Fraction(1, 2)
-    out = {}
-    out["4.1"] = (
-        _r(C2, 2)
-        + _r(C4 * a1, 4)
-        + _r((C4 * a1).scale(Fraction(9, 2)), 2)
-        + _r((C4 * a1).scale(2), 2, 1)
-        + _r((C4 * a1).scale(-h), -2)
-        + _r(-(C4 * a1), 0)
-    )
-    out["R4.2"] = (
-        _r(C1, 1)
-        + _r(C3 * a1, 3)
-        + _r((C3 * a1).scale(3), 1)
-        + _r((C3 * a1).scale(2), 1, 1)
-        + _r(-(C3 * a1), -1)
-    )
-    out["f0"] = (
-        _r(C0, 0)
-        + _r(C2 * a1, 0) + _r((C2 * a1).scale(2), 0, 1) + _r(C2 * a1, 2)
-        + _r((C3 * a2).scale(4), 0, 1) + _r((C3 * a2).scale(2), 2) + _r(C3 * a2, 4)
-    )
-    out["f-1"] = (
-        _r(Cm1, -1)
-        + _r(C1 * a1, 1)
-        + _r((C3 * a1 * a1).scale(3), 1) + _r((C3 * a1 * a1).scale(2), 1, 1)
-        + _r(C3 * a1 * a1, 3)
-        + _r((C2 * a2).scale(2), 1) + _r(-(C2 * a2), -1) + _r(C2 * a2, 3)
-        + _r((C3 * a3).scale(3), 1) + _r((C3 * a3).scale(Fraction(-2, 5)), -1)
-        + _r((C3 * a3).scale(Fraction(3, 2)), 3) + _r(C3 * a3, 5)
-    )
-    c3a12 = C3 * a1 * a2
-    out["f-2"] = (
-        _r(Cm2, -2)
-        + _r(-(C2 * a1 * a1), -2) + _r(C2 * a1 * a1, 2)
-        + _r(c3a12.scale(Fraction(-31, 4)), -2)
-        + _r(c3a12.scale(6), 2) + _r(c3a12.scale(2), 4)
-        + _r(c3a12.scale(2), 2, 1)
-        + _r(c3a12.scale(Fraction(-1, 4)), -6)
-        + _r(c3a12.scale(-h), -4)
-        + _r(c3a12, -2, 1)
-        + _r(c3a12.scale(h), 0)
-        + _r(C1 * a2, 2)
-        + _r((C2 * a3).scale(Fraction(-3, 2)), -2) + _r((C2 * a3).scale(Fraction(3, 2)), 2)
-        + _r(-(C2 * a3), -2) + _r(C2 * a3, 4)
-        + _r((C3 * a4).scale(Fraction(-13, 3)), -2) + _r((C3 * a4).scale(2), 2)
-        + _r((C3 * a4).scale(Fraction(4, 3)), 4) + _r(C3 * a4, 6)
-    )
-    out["f-3-mid"] = (
-        _r(Cm3, -3) + _r(C1 * a3, 3)
-        + _r((Cm1 * a1).scale(-h), -3) + _r((Cm1 * a1).scale(-h), 1)
-    )
-    out["f-3"] = _r(C1 * a3, 3)
-    out["f-4-mid"] = _r(Cm4, -4) + _r(C1 * a4, 4)
-    out["f-4"] = _r(C1 * a4, 4)
-    return out
-
-
 @dataclass
 class LemmaReport:
     tag: str
@@ -513,35 +457,96 @@ def check_lemma_tag(tag: str) -> str:
     )
 
 
-def _lemma_setup(tag: str, printed: Dict[str, RadialFunction]):
-    """(L, g, side, known components) of one printed derivation step.
+def _tops(*ds) -> Dict[int, RadialFunction]:
+    """The components C_d r^d solved from commutation with T_z."""
+    return {d: _r(C_(d), d) for d in ds}
 
-    The analytic-side steps start from the T_z-solved tops C_d r^d and the
-    printed components above g; the conjugate-side steps from the main
-    theorem's components C1 r, C0 and C1 abar_l r^l at degree -l.
+
+def _main_theorem(k: int) -> Dict[int, RadialFunction]:
+    """The main theorem's components above degree -k: C1 r, C0, C1 abar_l r^l at -l."""
+    return {**_tops(1, 0), **{-l: _r(C_(1) * abar_(l), l) for l in range(1, k)}}
+
+
+def _lemma_step(tag: str):
+    """(L, g, side, known, printed, mid) of one printed derivation step.
+
+    The step derives the component of degree g of the commutant of T_u,
+    u = u_symbol(L), from the ``known`` components on one side, and the
+    paper prints it as ``printed``.  Conjugate-side steps are printed after
+    forcing; ``mid`` is their printed pre-forcing form, which the equation
+    checks, and is None on the analytic side.  f-4 is induction(4).  The
+    analytic steps are built in dependency order, and each returns as soon
+    as its own formulas exist.
     """
-    def tops(*ds):
-        return {d: _r(C_(d), d) for d in ds}
-
-    def main_theorem(k):
-        return {**tops(1, 0), **{-l: _r(C_(1) * abar_(l), l) for l in range(1, k)}}
-
-    k = _induction_degree(check_lemma_tag(tag))
+    check_lemma_tag(tag)
+    k = 4 if tag == "f-4" else _induction_degree(tag)
     if k is not None:
-        return k, -k, CONJUGATE, main_theorem(k)
-    upper = {**tops(3, 2), 1: printed["R4.2"]}
-    f3 = main_theorem(3)
-    f3[-1] = _r(C_(-1), -1) + f3[-1]     # Cm1 is still free: f-3 is the step that forces it
-    table = {
-        "4.1": (1, 2, ANALYTIC, tops(4, 3)),
-        "R4.2": (1, 1, ANALYTIC, tops(3, 2)),
-        "f0": (2, 0, ANALYTIC, upper),
-        "f-1": (3, -1, ANALYTIC, upper),
-        "f-2": (4, -2, ANALYTIC, {**upper, 0: printed["f0"], -1: printed["f-1"]}),
-        "f-3": (3, -3, CONJUGATE, f3),
-        "f-4": (4, -4, CONJUGATE, main_theorem(4)),
-    }
-    return table[tag]
+        printed = _r(C_(1) * abar_(k), k)
+        return k, -k, CONJUGATE, _main_theorem(k), printed, _r(C_(-k), -k) + printed
+    if tag == "f-3":
+        known = _main_theorem(3)
+        known[-1] = _r(C_(-1), -1) + known[-1]   # Cm1 is still free: f-3 forces it
+        printed = _r(C_(1) * abar_(3), 3)
+        half_cm1a1 = (C_(-1) * abar_(1)).scale(Fraction(-1, 2))
+        mid = _r(C_(-3), -3) + printed + _r(half_cm1a1, -3) + _r(half_cm1a1, 1)
+        return 3, -3, CONJUGATE, known, printed, mid
+    C0, C1, C2, C3, C4 = (C_(d) for d in range(5))
+    a1, a2, a3, a4 = (abar_(l) for l in range(1, 5))
+    h = Fraction(1, 2)
+    if tag == "4.1":
+        return 1, 2, ANALYTIC, _tops(4, 3), (
+            _r(C2, 2)
+            + _r(C4 * a1, 4)
+            + _r((C4 * a1).scale(Fraction(9, 2)), 2)
+            + _r((C4 * a1).scale(2), 2, 1)
+            + _r((C4 * a1).scale(-h), -2)
+            + _r(-(C4 * a1), 0)
+        ), None
+    f1 = (
+        _r(C1, 1)
+        + _r(C3 * a1, 3)
+        + _r((C3 * a1).scale(3), 1)
+        + _r((C3 * a1).scale(2), 1, 1)
+        + _r(-(C3 * a1), -1)
+    )
+    if tag == "R4.2":
+        return 1, 1, ANALYTIC, _tops(3, 2), f1, None
+    upper = {**_tops(3, 2), 1: f1}
+    f0 = (
+        _r(C0, 0)
+        + _r(C2 * a1, 0) + _r((C2 * a1).scale(2), 0, 1) + _r(C2 * a1, 2)
+        + _r((C3 * a2).scale(4), 0, 1) + _r((C3 * a2).scale(2), 2) + _r(C3 * a2, 4)
+    )
+    if tag == "f0":
+        return 2, 0, ANALYTIC, upper, f0, None
+    fm1 = (
+        _r(C_(-1), -1)
+        + _r(C1 * a1, 1)
+        + _r((C3 * a1 * a1).scale(3), 1) + _r((C3 * a1 * a1).scale(2), 1, 1)
+        + _r(C3 * a1 * a1, 3)
+        + _r((C2 * a2).scale(2), 1) + _r(-(C2 * a2), -1) + _r(C2 * a2, 3)
+        + _r((C3 * a3).scale(3), 1) + _r((C3 * a3).scale(Fraction(-2, 5)), -1)
+        + _r((C3 * a3).scale(Fraction(3, 2)), 3) + _r(C3 * a3, 5)
+    )
+    if tag == "f-1":
+        return 3, -1, ANALYTIC, upper, fm1, None
+    c3a12 = C3 * a1 * a2
+    return 4, -2, ANALYTIC, {**upper, 0: f0, -1: fm1}, (
+        _r(C_(-2), -2)
+        + _r(-(C2 * a1 * a1), -2) + _r(C2 * a1 * a1, 2)
+        + _r(c3a12.scale(Fraction(-31, 4)), -2)
+        + _r(c3a12.scale(6), 2) + _r(c3a12.scale(2), 4)
+        + _r(c3a12.scale(2), 2, 1)
+        + _r(c3a12.scale(Fraction(-1, 4)), -6)
+        + _r(c3a12.scale(-h), -4)
+        + _r(c3a12, -2, 1)
+        + _r(c3a12.scale(h), 0)
+        + _r(C1 * a2, 2)
+        + _r((C2 * a3).scale(Fraction(-3, 2)), -2) + _r((C2 * a3).scale(Fraction(3, 2)), 2)
+        + _r(-(C2 * a3), -2) + _r(C2 * a3, 4)
+        + _r((C3 * a4).scale(Fraction(-13, 3)), -2) + _r((C3 * a4).scale(2), 2)
+        + _r((C3 * a4).scale(Fraction(4, 3)), 4) + _r(C3 * a4, 6)
+    ), None
 
 
 def reproduce_lemma(tag: str) -> LemmaReport:
@@ -549,32 +554,27 @@ def reproduce_lemma(tag: str) -> LemmaReport:
 
     On mismatch, both the mechanized and the printed radial functions are
     checked against the exact functional-equation identity, so the verdict
-    does not depend on the printed text.  Conjugate-side steps are printed
-    after forcing; their pre-forcing form (``-mid``) is what the equation
-    checks, and the derived form is forced before the comparison.
+    does not depend on the printed text.  A conjugate-side step is compared
+    after forcing, and its printed pre-forcing form is what the equation
+    checks.
     """
-    printed = _printed_formulas()
-    L, g, side, known = _lemma_setup(tag, printed)
-    if tag not in printed:   # induction(k): the main theorem's C1 abar_k r^k
-        printed[tag] = _r(C_(1) * abar_(L), L)
-        printed[tag + "-mid"] = _r(C_(-L), -L) + printed[tag]
+    L, g, side, known, printed, mid = _lemma_step(tag)
     eq = constraint_at_offset(u_symbol(L), Symbol(known), g, side)
     _, phi = solve_telescoping(eq)
-    mid = printed.get(tag + "-mid")
     derived, forced = phi, []
     if mid is not None and not phi.is_integrable():
         derived, items = _force_constants(phi)
         forced = [n for n, _ in items]
-    match = derived == printed[tag]
+    match = derived == printed
     return LemmaReport(
         tag=tag,
         derived=derived,
-        printed=printed[tag],
+        printed=printed,
         match=match,
         forced=forced,
         derived_satisfies_equation=_satisfies(eq, phi),
-        printed_satisfies_equation=_satisfies(eq, printed[tag] if mid is None else mid),
-        discrepancy=None if match else derived - printed[tag],
+        printed_satisfies_equation=_satisfies(eq, printed if mid is None else mid),
+        discrepancy=None if match else derived - printed,
     )
 
 

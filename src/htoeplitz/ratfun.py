@@ -331,6 +331,7 @@ class RationalFn(Terms):
 
 
 _ROOT_SEARCH_MAX = 10**12   # caps the trial division at 10**6 steps per coefficient
+_ROOT_PAIRS_MAX = 5000      # caps the (divisor of a0, divisor of an) pairs tried
 
 
 def _rational_root(p: RationalFn) -> Fraction | None:
@@ -339,9 +340,11 @@ def _rational_root(p: RationalFn) -> Fraction | None:
     A linear a1 z + a0 has the root -a0/a1.  Otherwise searches divisors of
     the trailing/leading coefficients (rational root theorem) by trial
     division, and raises ValueError when either exceeds ``_ROOT_SEARCH_MAX``,
-    which bounds that division.  Returns None if no divisor works or the
-    coefficients are not scalar rationals.  Used only to invert denominators,
-    which in this package are products of (z+q) with small rational q.
+    which bounds that division, or when there are more than
+    ``_ROOT_PAIRS_MAX`` pairs of divisors to try.  Returns None if no pair
+    works or the coefficients are not scalar rationals.  Used only to invert
+    denominators, which in this package are products of (z+q) with small
+    rational q.
     """
     cs = []
     for c in p.coeffs:
@@ -381,8 +384,15 @@ def _rational_root(p: RationalFn) -> Fraction | None:
             d += 1
         return sorted(out)
 
-    for pnum in divisors(a0):
-        for pden in divisors(an):
+    nums, dens = divisors(a0), divisors(an)
+    if len(nums) * len(dens) > _ROOT_PAIRS_MAX:
+        raise ValueError(
+            f"divisor of degree {len(cs) - 1} has {len(nums) * len(dens)} pairs of "
+            f"end-coefficient divisors, more than {_ROOT_PAIRS_MAX}; "
+            "its rational roots are not searched"
+        )
+    for pnum in nums:
+        for pden in dens:
             for cand in (Fraction(pnum, pden), Fraction(-pnum, pden)):
                 if sum(c * cand ** i for i, c in enumerate(ints)) == 0:
                     return cand

@@ -33,7 +33,7 @@ from htoeplitz import (
     solve_telescoping,
     u_symbol,
 )
-from htoeplitz.derive import FunctionalEquation, TelescopeError, _force_constants, _printed_formulas
+from htoeplitz.derive import FunctionalEquation, TelescopeError, _force_constants
 
 SEED = int(os.environ.get("HTOEPLITZ_SEED", "0"))
 
@@ -140,12 +140,12 @@ def test_criterion_5_f_minus_1(capfd):
 
 def test_criterion_6_f_minus_2(capfd):
     with criterion(6, "f-2 exponents {-6,-4,-2} with logs; forcing {Cm2, C2, C3}", capfd):
-        printed = _printed_formulas()["f-2"]
+        rep = reproduce_lemma("f-2")
+        printed = rep.printed
         bad = printed.non_integrable_terms()
         exponents = {a for a, _b in bad}
         assert {Fraction(-6), Fraction(-4), Fraction(-2)} <= exponents
         assert any(b > 0 for _a, b in printed.terms)
-        rep = reproduce_lemma("f-2")
         _phi, forced = _force_constants(rep.derived)
         assert {name for name, _key in forced} == {"Cm2", "C2", "C3"}
 

@@ -85,6 +85,16 @@ def test_verify_failure(capsys):
     assert report["result"]["witnesses"]
 
 
+def test_verify_failure_seen_only_by_witnesses(capsys):
+    # u = z has no conjugate part, so the generic residual is empty and only
+    # the concrete check below the threshold sees [T_{z^2}, T_z] != 0
+    code, report = run_json(capsys, "verify", "--f", "z^2", "--u", "z")
+    assert code == 1
+    assert report["result"]["commutes"] is False
+    assert report["result"]["generic_nonzero"] == []
+    assert [w["vector"] for w in report["result"]["witnesses"]] == ["zbar", "zbar^2"]
+
+
 def test_verify_success(capsys):
     code, report = run_json(
         capsys, "verify",
@@ -183,6 +193,8 @@ def test_integrable_boundary_still_applies(capsys):
         ("(z^2+1)^-1", 1),       # the same through a negative power
         # a quadratic divisor whose coefficients are too large to search for roots
         ("1/((z+123456789012345678901234567890)*(z+1))", 3),
+        # a quadratic divisor whose end coefficients have too many divisor pairs
+        ("1/(963761198400*z^2+z+963761198400)", 3),
     ],
 )
 def test_bad_divisor_is_usage_error(capsys, expr, column):

@@ -51,7 +51,7 @@ RADIALS = mixed(
 RATIONALS = mixed(
     ["-1/(z+4)^2", "(z+2)/(z^2+6*z+8)", "z+1", "1/z", "1/(z+10000000000000000)"],
     ["1/(z^2+1)", "1/(z-z)", "1/(abar1*z+1)", "(z^2+1)^-1", "1/0", "", "z^", "((z)",
-     "1/((z+123456789012345678901234567890)*(z+1))"],
+     "1/((z+123456789012345678901234567890)*(z+1))", "1/(963761198400*z^2+z+963761198400)"],
 )
 VECTORS = mixed(["1", "z", "z^3", "zbar^2"], ["conj(z)", "z^-1", "zbar^0", "x", ""])
 # short random text over the expression alphabet reaches the parsers' error paths

@@ -20,6 +20,7 @@ from htoeplitz import (
     solve_telescoping,
     u_symbol,
 )
+from htoeplitz import derive
 from htoeplitz.derive import _find_shift, _satisfies
 
 from .conftest import rational_functions, scalar_coeffs
@@ -95,6 +96,17 @@ def test_solver_rejects_wrong_rhs():
         solve_telescoping(eq)
 
 
+def test_solver_rejects_corrupted_inverse(monkeypatch):
+    # a wrong inverse Mellin transform must be caught by the F = C + G check
+    real = derive.inverse_mellin
+    monkeypatch.setattr(derive, "inverse_mellin", lambda F: real(F) + RadialFunction.term(1, 5))
+    eq = FunctionalEquation(
+        c=Fraction(4), d=Fraction(3), G=RationalFn.zero, rhs=RationalFn.zero, unknown_name="C1"
+    )
+    with pytest.raises(TelescopeError, match="soundness"):
+        solve_telescoping(eq)
+
+
 def test_commute_with_Tz():
     for p in range(1, 5):
         phi = commute_with_Tz_solve(p)
@@ -140,6 +152,13 @@ def test_reproduce_divergent_lemmas():
         assert rep.derived_satisfies_equation, tag
         assert not rep.printed_satisfies_equation, tag
         assert rep.discrepancy is not None
+
+
+def test_f_minus_4_is_induction_4():
+    f4 = reproduce_lemma("f-4").to_json()
+    ind4 = reproduce_lemma("induction(4)").to_json()
+    assert f4.pop("tag") == "f-4" and ind4.pop("tag") == "induction(4)"
+    assert f4 == ind4
 
 
 def test_unknown_tag():

@@ -23,6 +23,7 @@ from htoeplitz import (
     u_symbol,
     verify_commute,
 )
+from htoeplitz import toeplitz
 from htoeplitz.toeplitz import apply_generic, basis_order, compose_generic, generic_residual
 
 from .conftest import coeffs, radial_functions
@@ -151,6 +152,16 @@ def test_noncommuting_verdict():
     report = verify_commute(f, u, n_max=8)
     assert not report.commutes
     assert report.witnesses
+
+
+def test_generic_residual_alone_refutes_commutation(monkeypatch):
+    # with every concrete residual stubbed to zero, the generic certificate
+    # must still reject z^2 against z + abar1 zbar on its own
+    monkeypatch.setattr(toeplitz, "_residual", lambda *args: HarmonicVector())
+    report = verify_commute(Symbol.monomial_z(2), u_symbol(1), n_max=8)
+    assert report.witnesses == []
+    assert set(report.generic_nonzero) == {(ANALYTIC, 1), (CONJUGATE, -1)}
+    assert not report.commutes
 
 
 @given(radial_functions(a_min=0, a_max=5, b_max=1), st.integers(-3, 3),
