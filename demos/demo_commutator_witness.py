@@ -5,7 +5,6 @@ all indices at once by the generic rational-in-n residual.
 """
 
 from htoeplitz import (
-    Symbol,
     basis_label,
     parse_symbol_expr,
     u_symbol,
@@ -14,7 +13,7 @@ from htoeplitz import (
 )
 
 u = u_symbol(1)
-f = Symbol.monomial_z(2)
+f = parse_symbol_expr("z^2")
 print(f"u = {u}")
 print(f"f = {f}")
 print()

@@ -40,6 +40,7 @@ from .toeplitz import (
 )
 
 SCHEMA_ID = "htoeplitz/runreport/1"
+_PARSER = None   # built by the first call of main, then reused: parse_args keeps no state
 
 
 class MathFailure(Exception):
@@ -354,8 +355,9 @@ def _guard_leading_minus(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_guard_leading_minus(sys.argv[1:] if argv is None else argv))
+    global _PARSER
+    _PARSER = _PARSER or build_parser()
+    args = _PARSER.parse_args(_guard_leading_minus(sys.argv[1:] if argv is None else argv))
     try:
         result, warnings, ok, lines = args.body(args)
     except ParseError as e:

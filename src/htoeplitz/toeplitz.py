@@ -7,10 +7,11 @@ map m -> Coeff and a ``Symbol`` a ``Terms`` map k -> f_k of its polar
 decomposition f = sum_k e^{ik theta} f_k, whose product multiplies term by
 term: e^{ik theta} f_k * e^{il theta} g_l = e^{i(k+l) theta} f_k g_l.  A
 quasihomogeneous symbol e^{ik theta} phi(r) maps e_m to a multiple of
-e_{m+k}, the multiple being one Mellin value of phi.  ``apply_generic`` gives
-the "for every n at once" form of that action on one side, a ``Terms`` map
-from the index offset to a rational function of the basis index, valid above
-a threshold; below-threshold indices are always handled concretely.
+e_{m+k}, the multiple being one Mellin value of phi.  The concrete action
+splits a symbol by the monomials of its coefficients, so each such value is
+one scalar.  ``apply_generic`` gives the "for every n at once" form of that
+action on one side, a ``Terms`` map from the index offset to a rational
+function of the basis index, valid above a threshold.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import operator
 from dataclasses import dataclass, field
 from typing import Dict
 
-from .exactalg import Coeff, Terms, aname, render_sum, render_term
-from .mellin import mellin, mellin_at
+from .exactalg import Coeff, GaussianRational, Terms, _mono_mul, aname, render_sum, render_term
+from .mellin import mellin, mellin_at, mellin_term
 from .radial import RadialFunction
 from .ratfun import RationalFn
 
@@ -50,12 +51,6 @@ class HarmonicVector(Terms):
     def basis(m: int, c=1) -> "HarmonicVector":
         return HarmonicVector({m: Coeff.coerce(c)})
 
-    zero: "HarmonicVector"
-
-    def scale(self, c) -> "HarmonicVector":
-        c = Coeff.coerce(c)
-        return HarmonicVector({v: x * c for v, x in self.terms.items()})
-
     def __str__(self):
         return render_sum(
             render_term(self.terms[m], basis_label(m) if m else "")
@@ -69,26 +64,13 @@ class HarmonicVector(Terms):
         return {basis_label(m): str(self.terms[m]) for m in sorted(self.terms, key=basis_order)}
 
 
-HarmonicVector.zero = HarmonicVector()
-
-
 class Symbol(Terms):
     """Polar decomposition: finite map degree k -> radial component f_k."""
 
     __slots__ = ()
 
-    @staticmethod
-    def monomial_z(n: int, coeff=1) -> "Symbol":
-        """z^n (n >= 0) or zbar^{-n} (n < 0) as a symbol."""
-        return Symbol({n: RadialFunction.term(coeff, abs(n))})
-
-    def scale(self, c) -> "Symbol":
-        return Symbol({k: p.scale(c) for k, p in self.terms.items()})
-
     def max_abs_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(abs(k) for k in self.terms)
+        return max((abs(k) for k in self.terms), default=0)
 
     def __mul__(self, other):
         other = self.coerce(other)
@@ -104,10 +86,6 @@ class Symbol(Terms):
 
     def __repr__(self):
         return f"Symbol<{self}>"
-
-    def to_json(self):
-        return {str(k): self.terms[k].to_json() for k in sorted(self.terms, reverse=True)}
-
 
 
 def u_symbol(L: int) -> Symbol:
@@ -159,46 +137,66 @@ def _check_integrable(f: Symbol) -> None:
             raise NonIntegrableSymbolError(k, a, b)
 
 
-def _column(sym: Symbol, memo: dict, m: int) -> HarmonicVector:
-    """T_sym e_m, computed once per memo (one memo per symbol)."""
-    col = memo.get(m)
-    if col is None:
-        col = HarmonicVector.zero
-        for k, phi in sym.terms.items():
-            col = col + apply_quasi(k, phi, m)
-        memo[m] = col
-    return col
+class _Entries(dict):
+    """The column entries F(m) of one piece (mu, k, terms) of a symbol, each
+    computed on first use: the piece maps e_m to mu F(m) e_{m+k}, where F(m)
+    is 2(j+1) sum c (-1)^b b!/(s+a)^{b+1} over its terms (a, b, c), with
+    j = |m+k| and s = |m|+j+2."""
+
+    def __init__(self, k: int, terms: list):
+        self.k, self.terms = k, terms
+
+    def __missing__(self, m: int):
+        j = abs(m + self.k)
+        s = abs(m) + j + 2
+        self[m] = x = 2 * (j + 1) * sum(c * mellin_term(a, b, s) for a, b, c in self.terms)
+        return x
 
 
-def _apply_columns(sym: Symbol, memo: dict, w: HarmonicVector) -> HarmonicVector:
-    """T_sym w as the combination sum_m w[m] * T_sym e_m of memoized columns."""
-    acc: Dict[int, Coeff] = {}
-    for m, c in w.terms.items():
-        for x, y in _column(sym, memo, m).terms.items():
-            y = y * c
-            acc[x] = acc[x] + y if x in acc else y
-    return HarmonicVector(acc)
+def _pieces(sym: Symbol) -> list:
+    """sym as pieces (mu, k, entries), one per monomial mu and degree k; each
+    radial coefficient c is a Fraction, or a GaussianRational when complex."""
+    groups: dict = {}
+    for k, phi in sym.terms.items():
+        for (a, b), coeff in phi.terms.items():
+            for mono, g in coeff.terms.items():
+                groups.setdefault((mono, k), []).append((a, b, g if g.im else g.re))
+    return [(mono, k, _Entries(k, terms)) for (mono, k), terms in groups.items()]
 
 
 def apply_symbol(f: Symbol, w: HarmonicVector) -> HarmonicVector:
+    """T_f w: each piece (mu, k, F) of f maps c e_m to c mu F(m) e_{m+k}."""
     _check_integrable(f)
-    return _apply_columns(f, {}, w)
+    return sum((HarmonicVector({m + k: c * Coeff({mu: GaussianRational.coerce(F[m])})})
+                for mu, k, F in _pieces(f) for m, c in w.terms.items()), HarmonicVector())
 
 
-def _residual(f: Symbol, u: Symbol, f_cols: dict, u_cols: dict, m: int) -> HarmonicVector:
-    """[T_f, T_u] e_m = sum_j U[j,m] T_f e_j - sum_j F[j,m] T_u e_j.
+def _pairs(f: Symbol, u: Symbol) -> list:
+    """(F, k_f, U, k_u, mu_f mu_u) for every piece of f and every piece of u."""
+    up = _pieces(u)
+    return [(F, kf, U, ku, _mono_mul(mf, mu)) for mf, kf, F in _pieces(f) for mu, ku, U in up]
 
-    ``f_cols`` and ``u_cols`` memoize the columns of T_f and T_u; residuals
-    at neighbouring m share most of them.
+
+def _residual(pairs: list, m: int) -> HarmonicVector:
+    """[T_f, T_u] e_m, summed as one scalar per (output index, monomial).
+
+    Each pair puts mu_f mu_u (F(m+k_u) U(m) - U(m+k_f) F(m)) at e_{m+k_f+k_u}:
+    T_f after T_u, minus T_u after T_f.
     """
-    return (_apply_columns(f, f_cols, _column(u, u_cols, m))
-            - _apply_columns(u, u_cols, _column(f, f_cols, m)))
+    acc: dict = {}
+    for F, kf, U, ku, mono in pairs:
+        x = F[m + ku] * U[m] - U[m + kf] * F[m]
+        if x:
+            out = acc.setdefault(m + kf + ku, {})
+            out[mono] = out[mono] + x if mono in out else x
+    return HarmonicVector({i: Coeff({mono: GaussianRational.coerce(x) for mono, x in c.items()})
+                           for i, c in acc.items()})
 
 
 def commutator_residual(f: Symbol, u: Symbol, m: int) -> HarmonicVector:
     _check_integrable(u)
     _check_integrable(f)
-    return _residual(f, u, {}, {}, m)
+    return _residual(_pairs(f, u), m)
 
 
 # ---------------------------------------------------------------------------
@@ -292,19 +290,18 @@ def verify_commute(f: Symbol, u: Symbol, n_max: int) -> CommutationReport:
     Generic residuals (rational in n) cover every index n >= n0*, where
     n0* = K_f + K_u + 1 exceeds any index at which a below-threshold branch
     can contribute to either composition; concrete residuals cover all
-    indices up to max(n_max, n0*).  Each column T_f e_m and T_u e_m is
-    computed once per call and shared by the residuals that need it.
+    indices up to max(n_max, n0*), each as one scalar per (output index,
+    monomial) from column entries computed once per call (``_residual``).
     """
     _check_integrable(f)
     _check_integrable(u)
     n_star = f.max_abs_degree() + u.max_abs_degree() + 1
     generic = {side: generic_residual(f, u, side) for side in (ANALYTIC, CONJUGATE)}
     top = max(n_max, n_star)
-    f_cols: dict = {}
-    u_cols: dict = {}
+    pairs = _pairs(f, u)
     witnesses = []
     for m in sorted(range(-top, top + 1), key=basis_order):
-        res = _residual(f, u, f_cols, u_cols, m)
+        res = _residual(pairs, m)
         if not res.is_zero():
             witnesses.append((m, res))
     return CommutationReport(

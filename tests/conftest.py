@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from htoeplitz import Coeff, GaussianRational, RadialFunction, RationalFn
+from htoeplitz import Coeff, GaussianRational, RadialFunction, RationalFn, Symbol
 
 small_ints = st.integers(-9, 9)
 pos_ints = st.integers(1, 6)
@@ -51,6 +51,11 @@ def radial_functions(draw, a_min=-6, a_max=8, b_max=3, scalar=True):
         c = draw(scalar_coeffs(nonzero=True) if scalar else coeffs())
         phi = phi + RadialFunction.term(c, a, b)
     return phi
+
+
+def monomial_z(n: int, coeff=1) -> Symbol:
+    """z^n (n >= 0) or zbar^{-n} (n < 0) as a symbol."""
+    return Symbol({n: RadialFunction.term(coeff, abs(n))})
 
 
 pole_values = st.sampled_from([Fraction(q) for q in range(-12, 13, 2)])

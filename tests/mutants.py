@@ -58,10 +58,17 @@ MUTANTS = [
            "RationalFn.linear(2 * d + 2)", "RationalFn.linear(2 * d + 1)"),
     Mutant("compose_generic shifts by da", "toeplitz.py",
            "fa.affine_substitute(1, db)", "fa.affine_substitute(1, da)"),
-    Mutant("column memo keyed by |m|", "toeplitz.py",
-           "memo[m] = col", "memo[abs(m)] = col"),
     Mutant("apply_quasi with j = |m| + k", "toeplitz.py",
            "j = abs(m + k)", "j = abs(m) + k"),
+    # the per-monomial concrete residual (toeplitz._Entries and _residual)
+    Mutant("entry memo keyed by |m|", "toeplitz.py",
+           "self[m] = x = ", "self[abs(m)] = x = "),
+    Mutant("entry weight with j = |m| + k", "toeplitz.py",
+           "j = abs(m + self.k)", "j = abs(m) + self.k"),
+    Mutant("residual reads F at m + k_f, not m + k_u", "toeplitz.py",
+           "F[m + ku] * U[m]", "F[m + kf] * U[m]"),
+    Mutant("pair monomial reduced to mu_f", "toeplitz.py",
+           "_mono_mul(mf, mu)) for", "mf) for"),
     Mutant("_split without (-1)^i", "ratfun.py",
            "s = (-1) ** i * comb(", "s = comb("),
     Mutant("commutes read from the generic residuals alone", "toeplitz.py",

@@ -1,5 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -297,3 +303,31 @@ def test_oracle_check_bind_warns_when_no_case_uses_it(capsys):
     assert code == 0
     assert report["inputs"]["bind"] == {"abar1": [0.3, 0.0]}
     assert report["warnings"] == ["--bind abar1: no case uses this indeterminate"]
+
+
+def test_requests_in_one_process_match_fresh_processes():
+    # main reuses one parser: a request must not see the flags of the one before
+    requests = [
+        ["oracle-check", "--cases", "2", "--seed", "5", "--bind", "abar1=1+2i", "--bind", "C1=3"],
+        ["oracle-check", "--cases", "2", "--seed", "5"],
+        ["verify-paper", "--tags", "4.1"],
+        ["verify-paper"],
+        ["--pretty", "verify", "--f", "z^2", "--u", "z+abar1*conj(z)", "--nmax", "4"],
+        ["verify", "--f", "z^2", "--u", "z+abar1*conj(z)", "--nmax", "4"],
+        ["derive", "--L", "1", "--N", "3", "--K", "2", "--nmax", "3"],
+        ["derive", "--L", "1", "--N", "3", "--K", "2"],
+        ["oracle-check", "--cases", "0"],
+        ["verify", "--f", "z^2", "--u", "z+abar1*conj(z)", "--nmax", "4"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for argv in requests:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        fresh = subprocess.run([sys.executable, "-m", "htoeplitz.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert (code, out.getvalue(), err.getvalue()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv

@@ -17,7 +17,7 @@ from htoeplitz import (
 )
 from htoeplitz.exactalg import aname, cname, indet_key, is_constant_name
 
-from .conftest import coeffs, fractions, gaussians
+from .conftest import coeffs, fractions, gaussians, monomial_z
 
 
 def test_names():
@@ -145,7 +145,7 @@ _RINGS = {
     "Coeff": (Coeff, Coeff.coerce, abar(1)),
     "RadialFunction": (RadialFunction, RadialFunction.const, RadialFunction.term(1, 1, 1)),
     "polynomial": (RationalFn, RationalFn.const, RationalFn.poly({1: 1})),
-    "Symbol": (Symbol, lambda c: Symbol({0: RadialFunction.const(c)}), Symbol.monomial_z(1)),
+    "Symbol": (Symbol, lambda c: Symbol({0: RadialFunction.const(c)}), monomial_z(1)),
     "RationalFn": (RationalFn, RationalFn.const, RationalFn.fraction(1, 2) + RationalFn.poly({1: 1})),
 }
 

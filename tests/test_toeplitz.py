@@ -26,7 +26,7 @@ from htoeplitz import (
 from htoeplitz import toeplitz
 from htoeplitz.toeplitz import apply_generic, basis_order, compose_generic, generic_residual
 
-from .conftest import coeffs, radial_functions
+from .conftest import coeffs, monomial_z, radial_functions
 
 
 def test_basis_canonicalization():
@@ -117,6 +117,10 @@ def test_constant_symbol_is_identity_scalar():
         assert apply_symbol(one, HarmonicVector.basis(m)) == HarmonicVector.basis(m)
 
 
+def _const(c) -> Symbol:
+    return Symbol({0: RadialFunction.const(c)})
+
+
 def test_u_symbol_shape():
     u = u_symbol(2)
     assert set(u.terms) == {1, -1, -2}
@@ -126,7 +130,7 @@ def test_u_symbol_shape():
 
 def test_commutator_witness():
     # f = z^2 does not commute with T_u once u has a conjugate part
-    f = Symbol.monomial_z(2)
+    f = monomial_z(2)
     u = u_symbol(1)
     res = commutator_residual(f, u, _z(1))
     assert res == HarmonicVector.basis(_z(2), abar(1).scale(Fraction(-1, 4)))
@@ -142,12 +146,12 @@ def test_self_commutation():
 
 def test_affine_in_u_commutes():
     u = u_symbol(2)
-    f = u.scale(Coeff.indet("C1")) + Symbol({0: RadialFunction.const(Coeff.indet("C0"))})
+    f = u * _const(Coeff.indet("C1")) + _const(Coeff.indet("C0"))
     assert verify_commute(f, u, n_max=10).commutes
 
 
 def test_noncommuting_verdict():
-    f = Symbol.monomial_z(2)
+    f = monomial_z(2)
     u = u_symbol(1)
     report = verify_commute(f, u, n_max=8)
     assert not report.commutes
@@ -158,7 +162,7 @@ def test_generic_residual_alone_refutes_commutation(monkeypatch):
     # with every concrete residual stubbed to zero, the generic certificate
     # must still reject z^2 against z + abar1 zbar on its own
     monkeypatch.setattr(toeplitz, "_residual", lambda *args: HarmonicVector())
-    report = verify_commute(Symbol.monomial_z(2), u_symbol(1), n_max=8)
+    report = verify_commute(monomial_z(2), u_symbol(1), n_max=8)
     assert report.witnesses == []
     assert set(report.generic_nonzero) == {(ANALYTIC, 1), (CONJUGATE, -1)}
     assert not report.commutes
@@ -203,26 +207,35 @@ def test_compose_generic_consistency():
 
 def test_non_integrable_symbols_are_refused():
     # r^a (ln r)^b with a <= -2 is outside L^1(r dr); the error names the term
-    bad = Symbol({0: RadialFunction.term(1, -4)}) + Symbol.monomial_z(1)
+    bad = Symbol({0: RadialFunction.term(1, -4)}) + monomial_z(1)
     with pytest.raises(NonIntegrableSymbolError) as exc:
         apply_symbol(bad, HarmonicVector.basis(_z(0)))
     assert (exc.value.k, exc.value.a, exc.value.b) == (0, -4, 0)
     assert "r^-4" in str(exc.value)
     log_term = Symbol({-1: RadialFunction.term(abar(1), -2, 1)})
     with pytest.raises(NonIntegrableSymbolError) as exc:
-        verify_commute(Symbol.monomial_z(1), u_symbol(1) + log_term, 4)
+        verify_commute(monomial_z(1), u_symbol(1) + log_term, 4)
     assert "e(-1)" in str(exc.value) and "r^-2*ln(r)" in str(exc.value)
     with pytest.raises(NonIntegrableSymbolError):
         verify_commute(bad, u_symbol(1), 4)
 
 
 def _apply_direct(f, w):
-    """T_f w term by term, every column rebuilt: the reference for the memoized path."""
-    out = HarmonicVector.zero
+    """T_f w term by term with apply_quasi: the reference for the per-monomial path."""
+    out = HarmonicVector()
     for k, phi in f.terms.items():
         for m, c in w.terms.items():
-            out = out + apply_quasi(k, phi, m).scale(c)
+            out = out + HarmonicVector({x: y * c for x, y in apply_quasi(k, phi, m).terms.items()})
     return out
+
+
+@given(st.dictionaries(st.integers(-3, 3), radial_functions(a_min=-1, a_max=4, b_max=1,
+                                                           scalar=False), min_size=1, max_size=3),
+       st.dictionaries(st.integers(-4, 4), coeffs(), min_size=1, max_size=3))
+@settings(deadline=None, max_examples=40)
+def test_apply_symbol_matches_direct_formula(comps, w):
+    f, w = Symbol(comps), HarmonicVector(w)
+    assert apply_symbol(f, w) == _apply_direct(f, w)
 
 
 @st.composite
@@ -232,10 +245,12 @@ def _symbols_against_u(draw):
     u = u_symbol(L)
     if draw(st.booleans()):
         c1, c0 = draw(coeffs()), draw(coeffs())
-        return u.scale(c1) + Symbol({0: RadialFunction.term(c0, 0)}), u
+        return u * _const(c1) + _const(c0), u
+    # scalar=False draws complex C/abar polynomial coefficients, so that products
+    # mu_f mu_u of different piece pairs can meet at one (index, monomial)
     comps = {}
     for k in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True)):
-        comps[k] = draw(radial_functions(a_min=-1, a_max=4, b_max=1))
+        comps[k] = draw(radial_functions(a_min=-1, a_max=4, b_max=1, scalar=draw(st.booleans())))
     return Symbol(comps), u
 
 
