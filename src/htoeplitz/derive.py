@@ -163,14 +163,14 @@ def constraint_at_offset(u: Symbol, known: Symbol, g: int, side: str) -> Functio
     _check_u(u)
     if side == ANALYTIC:
         c, d = Fraction(2 * g + 2), Fraction(g + 2)
-        M = RationalFn.one
+        M = RationalFn({0: 1})
     else:
         if g >= 0:
             raise TelescopeError("conjugate-side derivation requires negative degree")
         c, d = Fraction(0), Fraction(-g)
         # unknown terms: -(z-2g) phihat(z-g+2) + z(z-2g)/(z+2) phihat(z-g);
-        # multiplying by M normalizes them to F(z+2) - F(z) with F = z phihat(z-g)
-        M = RationalFn.quotient(-RationalFn.linear(2), {-2 * g: 1})
+        # multiplying by M = -(z+2)/(z-2g) normalizes them to F(z+2) - F(z), F = z phihat(z-g)
+        M = RationalFn({(Fraction(-2 * g), 1): -2 * g - 2, 0: -1})
     # G is built from per-term shift sums, not as antidifference(rhs).  Both
     # solve G(z+2) - G(z) = rhs, but they differ by a constant, and that
     # constant decides which combination of constants the fresh C absorbs.
@@ -186,16 +186,17 @@ def constraint_at_offset(u: Symbol, known: Symbol, g: int, side: str) -> Functio
         for j, phi_u in u.terms.items():
             if kf + j != g + 1:
                 continue
-            u_fn = branch_z(side, j, phi_u)
+            # scalar branches; lifting each product by coef * c_u gives A, B as over Coeff
+            u_fns = [(branch_z(side, j, a, b), c_u) for (a, b), c_u in phi_u.terms.items()]
             du = 2 * branch_offset(side, j)
             df = 2 * branch_offset(side, kf)
             for key, coef in phi_f.terms.items():
-                term = RadialFunction({key: coef})
-                c_t = branch_z(side, kf, term)
-                s1 = u_fn * c_t.shift(du)          # T_f T_u path (u first)
-                s2 = c_t * u_fn.shift(df)          # T_u T_f path (f first)
-                A = M * s2
-                B = M * s1
+                c_t = branch_z(side, kf, *key)
+                A = B = RationalFn.zero
+                for u_fn, c_u in u_fns:
+                    w = coef * c_u
+                    A = A + (M * (c_t * u_fn.shift(df))).scale(w)   # T_u T_f path (f first)
+                    B = B + (M * (u_fn * c_t.shift(du))).scale(w)   # T_f T_u path (u first)
                 rhs = rhs + (A - B)
                 m = _find_shift(A, B)
                 if m is None:

@@ -69,12 +69,15 @@ class GaussianRational:
 
     @staticmethod
     def coerce(x: "GaussianRational | Rat") -> "GaussianRational":
+        """x as a GaussianRational; NotImplemented for a non-scalar, such as a Coeff."""
         if isinstance(x, GaussianRational):
             return x
-        return GaussianRational(x)
+        return GaussianRational(x) if isinstance(x, (int, Fraction)) else NotImplemented
 
     def __add__(self, other):
         other = GaussianRational.coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         if not self.im and not other.im:   # real + real: one Fraction sum
             return GaussianRational(self.re + other.re, _FRACTION_ZERO)
         return GaussianRational(self.re + other.re, self.im + other.im)
@@ -85,13 +88,15 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-GaussianRational.coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return GaussianRational.coerce(other) - self
+        return -self + other
 
     def __mul__(self, other):
         other = GaussianRational.coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         if not self.im and not other.im:   # real * real: one Fraction product
             return GaussianRational(self.re * other.re, _FRACTION_ZERO)
         return GaussianRational(
@@ -103,6 +108,8 @@ class GaussianRational:
 
     def __truediv__(self, other):
         other = GaussianRational.coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
@@ -112,7 +119,7 @@ class GaussianRational:
         )
 
     def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) / self
+        return GaussianRational(other) / self
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -282,10 +289,9 @@ class Coeff(Terms):
     __add__ = __radd__ = Terms.__add__
 
     def __mul__(self, other):
-        other = Coeff.coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Coeff(self._product(other, _mono_mul))
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return self.scale(other)
+        return Coeff(self._product(other, _mono_mul)) if isinstance(other, Coeff) else NotImplemented
 
     __rmul__ = __mul__
 

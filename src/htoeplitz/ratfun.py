@@ -1,4 +1,4 @@
-"""Univariate rational functions over Coeff, stored as partial fractions.
+"""Univariate rational functions over exact values, stored as partial fractions.
 
 ``RationalFn`` is sum_i c_i z^i + sum over (q, j) of c / (z+q)^j, every
 pole location q a concrete rational and j >= 1, held as one ``Terms`` map
@@ -13,7 +13,9 @@ split by
 + (p <-> q).  The Mellin images of the radial span are exactly the forms
 with no polynomial part.  ``RationalFn.quotient`` reduces num / prod (z+q)^m
 to that form, and ``num`` / ``den`` give the reduced quotient back with a
-monic denominator, for rendering and serialization.
+monic denominator, for rendering and serialization.  The values are
+``Coeff``s or exact scalars (int, Fraction, GaussianRational), never both in
+one ``RationalFn``; ``fn.scale(coeff)`` lifts a scalar one to a ``Coeff`` one.
 """
 
 from __future__ import annotations
@@ -37,24 +39,24 @@ class PoleError(ArithmeticError):
         return f"evaluation at a pole: z = {self.q}"
 
 
-def _acc(out: dict, key, c: Coeff) -> None:
+def _acc(out: dict, key, c) -> None:
     out[key] = out[key] + c if key in out else c
 
 
-def _split(out: dict, c: Coeff, p: Fraction, a: int, q: Fraction, b: int) -> None:
+def _split(out: dict, c, p: Fraction, a: int, q: Fraction, b: int) -> None:
     """Add c / ((z+p)^a (z+q)^b), p != q, to the term map out."""
     for (x, m), (y, n) in (((p, a), (q, b)), ((q, b), (p, a))):
         inv = 1 / (y - x)
         for i in range(m):
             s = (-1) ** i * comb(n + i - 1, i) * inv ** (n + i)
-            _acc(out, (x, m - i), c.scale(s))
+            _acc(out, (x, m - i), c * s)
 
 
 def _pair(a, b):
     return a, b
 
 
-def _add_term_product(out: dict, a, b, c: Coeff) -> None:
+def _add_term_product(out: dict, a, b, c) -> None:
     """Add c times the product of the terms keyed a and b to the term map out.
 
     A key is i for z^i or (q, j) for 1/(z+q)^j.  A power over a fraction,
@@ -76,10 +78,10 @@ def _add_term_product(out: dict, a, b, c: Coeff) -> None:
         for t in range(a + 1):
             s = comb(a, t) * (-q) ** (a - t)
             if t < j:
-                _acc(out, (q, j - t), c.scale(s))
+                _acc(out, (q, j - t), c * s)
             else:
                 for e in range(t - j + 1):
-                    _acc(out, e, c.scale(s * comb(t - j, e) * q ** (t - j - e)))
+                    _acc(out, e, c * (s * comb(t - j, e) * q ** (t - j - e)))
 
 
 def _den_poly(den: Mapping[Fraction, int]) -> "RationalFn":
@@ -201,7 +203,6 @@ class RationalFn(Terms):
     __rmul__ = __mul__
 
     def scale(self, c) -> "RationalFn":
-        c = Coeff.coerce(c)
         return RationalFn({k: v * c for k, v in self.terms.items()})
 
     def __truediv__(self, other):
@@ -258,10 +259,10 @@ class RationalFn(Terms):
                 for k in range(key + 1):
                     s = comb(key, k) * alpha ** k * beta ** (key - k)
                     if s:
-                        _acc(terms, k, c.scale(s))
+                        _acc(terms, k, c * s)
             else:
                 q, j = key
-                terms[((q + beta) / alpha, j)] = c if alpha == 1 else c.scale(alpha ** -j)
+                terms[((q + beta) / alpha, j)] = c if alpha == 1 else c * alpha ** -j
         return RationalFn(terms)
 
     def evaluate_at(self, q: Rat) -> Coeff:
@@ -275,17 +276,6 @@ class RationalFn(Terms):
                 if q + p == 0:
                     raise PoleError(-p)
                 out = out + c.scale(1 / (q + p) ** j)
-        return out
-
-    def bind_eval(self, z: complex, bindings=None) -> complex:
-        """Floating evaluation for the oracle-facing paths."""
-        bindings = bindings or {}
-        out = 0j
-        for key, c in self.terms.items():
-            if type(key) is int:
-                out += c.bind(bindings) * z ** key
-            else:
-                out += c.bind(bindings) / (z + float(key[0])) ** key[1]
         return out
 
     def partial_fractions(self) -> "RationalFn":

@@ -7,23 +7,24 @@ map m -> Coeff and a ``Symbol`` a ``Terms`` map k -> f_k of its polar
 decomposition f = sum_k e^{ik theta} f_k, whose product multiplies term by
 term: e^{ik theta} f_k * e^{il theta} g_l = e^{i(k+l) theta} f_k g_l.  A
 quasihomogeneous symbol e^{ik theta} phi(r) maps e_m to a multiple of
-e_{m+k}, the multiple being one Mellin value of phi.  The concrete action
-splits a symbol by the monomials of its coefficients, so each such value is
-one scalar.  ``apply_generic`` gives the "for every n at once" form of that
-action on one side, a ``Terms`` map from the index offset to a rational
-function of the basis index, valid above a threshold.
+e_{m+k}, the multiple being one Mellin value of phi.  Both halves of the
+commutator check split a symbol by the monomials of its coefficients: the
+concrete action has one scalar per column entry, and the generic action (for
+every n above a threshold) one scalar rational function of the index per
+piece, so a ``Coeff`` enters only when a nonzero residual is written back.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from math import factorial
 from typing import Dict
 
-from .exactalg import Coeff, GaussianRational, Terms, _mono_mul, aname, render_sum, render_term
-from .mellin import mellin, mellin_at, mellin_term
+from .exactalg import Coeff, GaussianRational, Rat, Terms, _mono_mul, aname, render_sum, render_term
+from .mellin import mellin_at, mellin_term
 from .radial import RadialFunction
-from .ratfun import RationalFn
+from .ratfun import RationalFn, _acc
 
 ANALYTIC = "analytic"
 CONJUGATE = "conjugate"
@@ -208,47 +209,49 @@ def branch_offset(side: str, k: int) -> int:
     return k if side == ANALYTIC else -k
 
 
-def branch_z(side: str, k: int, phi: RadialFunction) -> RationalFn:
-    """Above-threshold coefficient of e^{ik theta} phi on one side, in z = 2n.
+def branch_z(side: str, k: int, a: Rat, b: int) -> RationalFn:
+    """Above-threshold coefficient of e^{ik theta} r^a (ln r)^b on one side, in z = 2n.
 
     Index n goes to n + d with coefficient 2(n+d+1) phihat(2n+d+2), where
-    d = k on z^n and d = -k on zbar^n.
+    d = k on z^n and d = -k on zbar^n; phihat(z) = (-1)^b b!/(z+a)^{b+1}, and
+    (z+2d+2)/(z+q)^{b+1} = (2d+2-q)/(z+q)^{b+1} + 1/(z+q)^b with q = a+d+2.
     """
     d = branch_offset(side, k)
-    return mellin(phi).shift(d + 2) * RationalFn.linear(2 * d + 2)
+    q, c = a + d + 2, (-1) ** b * factorial(b)
+    return RationalFn({(q, b + 1): c * (2 * d + 2 - q), (q, b) if b else 0: c})
 
 
-def apply_generic(f: Symbol, side: str) -> Terms:
-    """Generic form of T_f on one input side, above-threshold branches only.
-
-    The map offset d -> coeff_fn(n): basis index n on `side` goes to index
-    n + d on the same side with coefficient coeff_fn(n), for every n such
-    that n and n + d both index this side, so for every n >= 1 + |d|.
-    Indices below that must be handled concretely.
-    """
-    return Terms({branch_offset(side, k): branch_z(side, k, phi).affine_substitute(2, 0)
-                  for k, phi in f.terms.items()})
+def _generic_pieces(sym: Symbol, side: str) -> list:
+    """(mu, d, F) for every piece of sym: above threshold it takes index n on
+    `side` to n + d with coefficient mu F(n), F scalar-valued in n."""
+    return [(mono, branch_offset(side, k),
+             sum((branch_z(side, k, a, b).scale(c) for a, b, c in F.terms),
+                 RationalFn.zero).affine_substitute(2, 0))
+            for mono, k, F in _pieces(sym)]
 
 
-def compose_generic(a: Terms, b: Terms) -> Terms:
-    """The generic action of (a after b) on one side: apply b first, then a."""
-    entries: Dict[int, RationalFn] = {}
-    for db, fb in b.terms.items():
-        for da, fa in a.terms.items():
-            d = da + db
-            fn = fb * fa.affine_substitute(1, db)
-            entries[d] = entries[d] + fn if d in entries else fn
-    return Terms(entries)
+def _compose(a: list, b: list) -> dict:
+    """(a after b) on one side, offset -> Terms map monomial -> scalar RationalFn,
+    offsets in first-use order: each pair puts mu_a mu_b B(n) A(n+d_b) at d_a+d_b."""
+    out: dict = {}
+    for mb, db, B in b:
+        for ma, da, A in a:
+            _acc(out.setdefault(da + db, {}), _mono_mul(ma, mb), B * A.shift(db))
+    return {d: t for d, e in out.items() if (t := Terms(e))}
 
 
 def generic_residual(f: Symbol, u: Symbol, side: str) -> Terms:
-    """Generic entries of T_f T_u - T_u T_f on one input side."""
-    af, au = apply_generic(f, side), apply_generic(u, side)
-    fu = compose_generic(af, au).terms   # T_f after T_u
-    uf = compose_generic(au, af).terms
-    zero = RationalFn.zero
-    # offsets in set order: the order in which generic_nonzero lists them
-    return Terms({d: fu.get(d, zero) - uf.get(d, zero) for d in set(fu) | set(uf)})
+    """Generic entries of T_f T_u - T_u T_f on one input side: each piece pair,
+    x of f and y of u, adds mu_f mu_u [U_y(n) F_x(n+d_y) - F_x(n) U_y(n+d_x)] at
+    offset d_x + d_y, summed over scalars; only a nonzero entry gets Coeff values."""
+    fs, us = _generic_pieces(f, side), _generic_pieces(u, side)
+    fu, uf = _compose(fs, us), _compose(us, fs)   # T_f after T_u, T_u after T_f
+    out = {}
+    for d in set(fu) | set(uf):   # set order: the order in which generic_nonzero lists them
+        diff = fu.get(d, Terms()) - uf.get(d, Terms())
+        out[d] = sum((fn.scale(Coeff({mu: GaussianRational(1)})) for mu, fn in diff.terms.items()),
+                     RationalFn.zero)
+    return Terms(out)
 
 
 @dataclass

@@ -73,3 +73,16 @@ def rational_functions(draw, with_poly_part=True):
         c = draw(scalar_coeffs(nonzero=True))
         out = out + RationalFn.fraction(c, q, j)
     return out
+
+
+def bind_eval(fn: RationalFn, z: complex, bindings=None) -> complex:
+    """fn at the complex point z with every indeterminate bound to a complex
+    value: a floating reference for checks against the quadrature oracle."""
+    bindings = bindings or {}
+    out = 0j
+    for key, c in fn.terms.items():
+        if type(key) is int:
+            out += c.bind(bindings) * z ** key
+        else:
+            out += c.bind(bindings) / (z + float(key[0])) ** key[1]
+    return out

@@ -5,11 +5,13 @@ Run from anywhere:  python3 tests/mutants.py
 Each mutant is one exact-text replacement in one module of src/htoeplitz.
 The harness copies the project (src, tests, demos, bench, pyproject.toml,
 BENCHMARK.json) to a temporary directory once, checks that Tier-1 passes
-there unmutated, then applies each mutant alone to that copy and runs the
-Tier-1 suite there with -x.  A mutant is killed when the suite fails (or
-hangs past the timeout) and survives when it passes.  The run exits 1 if a
-mutant survives without an argument that it is equivalent to the original,
-or if a mutant's snippet no longer occurs exactly once.
+there unmutated, then applies each mutant alone to that copy.  A mutant
+names the test that killed it in an earlier run; that test runs first, and
+only if it passes does the whole Tier-1 suite run, with -x.  A mutant is
+killed when a run fails (or hangs past the timeout), and it survives only
+when the whole suite passes.  The run exits 1 if a mutant survives without
+an argument that it is equivalent to the original, or if a mutant's snippet
+no longer occurs exactly once.
 
 The name has no test_ prefix, so pytest does not collect this file.  It
 uses the standard library only.
@@ -35,6 +37,7 @@ class Mutant(NamedTuple):
     module: str                       # file under src/htoeplitz
     snippet: str                      # must occur exactly once
     replacement: str
+    killer: Optional[str] = None      # the test id that killed it last time
     equivalent: Optional[str] = None  # why no test can tell it apart
 
 
@@ -42,55 +45,86 @@ MUTANTS = [
     # the whole-basis certificate (toeplitz.verify_commute and its parts)
     Mutant("n0* without its +1", "toeplitz.py",
            "n_star = f.max_abs_degree() + u.max_abs_degree() + 1",
-           "n_star = f.max_abs_degree() + u.max_abs_degree()"),
+           "n_star = f.max_abs_degree() + u.max_abs_degree()",
+           killer="tests/test_golden_reports.py::test_golden_report[derive-L1]"),
     Mutant("n0* as a max, not a sum", "toeplitz.py",
            "n_star = f.max_abs_degree() + u.max_abs_degree() + 1",
-           "n_star = max(f.max_abs_degree(), u.max_abs_degree()) + 1"),
+           "n_star = max(f.max_abs_degree(), u.max_abs_degree()) + 1",
+           killer="tests/test_golden_reports.py::test_golden_report[derive-L1]"),
     Mutant("concrete range ends at n_max", "toeplitz.py",
-           "top = max(n_max, n_star)", "top = n_max"),
+           "top = max(n_max, n_star)", "top = n_max",
+           killer="tests/test_toeplitz.py::test_verify_commute_witnesses_match_direct_formula"),
     Mutant("concrete loop starts at -top+1", "toeplitz.py",
-           "range(-top, top + 1)", "range(-top + 1, top + 1)"),
+           "range(-top, top + 1)", "range(-top + 1, top + 1)",
+           killer="tests/test_golden_reports.py::test_golden_report[verify-nonzero]"),
     Mutant("concrete loop starts at 0", "toeplitz.py",
-           "range(-top, top + 1)", "range(0, top + 1)"),
+           "range(-top, top + 1)", "range(0, top + 1)",
+           killer="tests/test_cli.py::test_verify_failure_seen_only_by_witnesses"),
     Mutant("branch_offset sign flipped", "toeplitz.py",
-           "return k if side == ANALYTIC else -k", "return -k if side == ANALYTIC else k"),
-    Mutant("branch_z factor 2d+1", "toeplitz.py",
-           "RationalFn.linear(2 * d + 2)", "RationalFn.linear(2 * d + 1)"),
-    Mutant("compose_generic shifts by da", "toeplitz.py",
-           "fa.affine_substitute(1, db)", "fa.affine_substitute(1, da)"),
+           "return k if side == ANALYTIC else -k", "return -k if side == ANALYTIC else k",
+           killer="tests/test_acceptance.py::test_criterion_3_f1"),
+    # the generic half, over scalars (toeplitz.branch_z, _compose, generic_residual)
+    Mutant("unit branch has factor 2d+1", "toeplitz.py",
+           "c * (2 * d + 2 - q)", "c * (2 * d + 1 - q)",
+           killer="tests/test_acceptance.py::test_criterion_3_f1"),
+    Mutant("generic pair reads F at n+d_x, not n+d_y", "toeplitz.py",
+           "B * A.shift(db)", "B * A.shift(da)",
+           killer="tests/test_acceptance.py::test_criterion_9_main_theorem"),
+    Mutant("generic lift uses mu_f, not mu_f mu_u", "toeplitz.py",
+           "_mono_mul(ma, mb), B", "ma, B",
+           killer="tests/test_acceptance.py::test_criterion_9_main_theorem"),
     Mutant("apply_quasi with j = |m| + k", "toeplitz.py",
-           "j = abs(m + k)", "j = abs(m) + k"),
+           "j = abs(m + k)", "j = abs(m) + k",
+           killer="tests/test_acceptance.py::test_criterion_2_engine_vs_oracle"),
     # the per-monomial concrete residual (toeplitz._Entries and _residual)
     Mutant("entry memo keyed by |m|", "toeplitz.py",
-           "self[m] = x = ", "self[abs(m)] = x = "),
+           "self[m] = x = ", "self[abs(m)] = x = ",
+           killer="tests/test_acceptance.py::test_criterion_11_property_suites"),
     Mutant("entry weight with j = |m| + k", "toeplitz.py",
-           "j = abs(m + self.k)", "j = abs(m) + self.k"),
+           "j = abs(m + self.k)", "j = abs(m) + self.k",
+           killer="tests/test_acceptance.py::test_criterion_11_property_suites"),
     Mutant("residual reads F at m + k_f, not m + k_u", "toeplitz.py",
-           "F[m + ku] * U[m]", "F[m + kf] * U[m]"),
+           "F[m + ku] * U[m]", "F[m + kf] * U[m]",
+           killer="tests/test_acceptance.py::test_criterion_9_main_theorem"),
     Mutant("pair monomial reduced to mu_f", "toeplitz.py",
-           "_mono_mul(mf, mu)) for", "mf) for"),
+           "_mono_mul(mf, mu)) for", "mf) for",
+           killer="tests/test_acceptance.py::test_criterion_9_main_theorem"),
     Mutant("_split without (-1)^i", "ratfun.py",
-           "s = (-1) ** i * comb(", "s = comb("),
+           "s = (-1) ** i * comb(", "s = comb(",
+           killer="tests/test_acceptance.py::test_criterion_5_f_minus_1"),
     Mutant("commutes read from the generic residuals alone", "toeplitz.py",
            "commutes=not any(generic.values()) and not witnesses,",
-           "commutes=not any(generic.values()),"),
+           "commutes=not any(generic.values()),",
+           killer="tests/test_cli.py::test_verify_failure_seen_only_by_witnesses"),
     Mutant("commutes read from the witnesses alone", "toeplitz.py",
            "commutes=not any(generic.values()) and not witnesses,",
-           "commutes=not witnesses,"),
+           "commutes=not witnesses,",
+           killer="tests/test_toeplitz.py::test_generic_residual_alone_refutes_commutation"),
+    # the telescoping equations (derive.constraint_at_offset)
+    Mutant("M has the sign of its fraction flipped", "derive.py",
+           "1): -2 * g - 2, 0: -1}", "1): 2 * g + 2, 0: -1}",
+           killer="tests/test_acceptance.py::test_criterion_8_conjugate_chain"),
+    Mutant("lift weight is coef, not coef * c_u", "derive.py",
+           "w = coef * c_u", "w = coef",
+           killer="tests/test_acceptance.py::test_criterion_3_f1"),
     # the telescoping solver
     Mutant("solve_telescoping without its G check", "derive.py",
-           "if eq.G.shift(2) - eq.G != eq.rhs:", "if False:"),
+           "if eq.G.shift(2) - eq.G != eq.rhs:", "if False:",
+           killer="tests/test_derive.py::test_solver_rejects_wrong_rhs"),
     Mutant("solve_telescoping without its _satisfies guard", "derive.py",
-           "if not _satisfies(eq, phi):", "if False:"),
+           "if not _satisfies(eq, phi):", "if False:",
+           killer="tests/test_derive.py::test_solver_rejects_corrupted_inverse"),
     Mutant("antidifference without its shift check", "derive.py",
            "if out.shift(2) - out != h:", "if False:",
            equivalent="when the ladder loop returns, each progression's partial sums d_p "
                       "give out(z+2) - out(z) = h term by term, so the check never fires"),
     # the printed lemma steps
     Mutant("f-4 read as induction(3)", "derive.py",
-           'k = 4 if tag == "f-4" else', 'k = 3 if tag == "f-4" else'),
+           'k = 4 if tag == "f-4" else', 'k = 3 if tag == "f-4" else',
+           killer="tests/test_acceptance.py::test_criterion_8_conjugate_chain"),
     Mutant("f-2 built without f0 among its known components", "derive.py",
-           "{**upper, 0: f0, -1: fm1}", "{**upper, -1: fm1}"),
+           "{**upper, 0: f0, -1: fm1}", "{**upper, -1: fm1}",
+           killer="tests/test_golden_reports.py::test_golden_report[verify-paper]"),
 ]
 
 
@@ -102,13 +136,14 @@ def _copy_project(dest: Path) -> None:
         shutil.copy2(ROOT / name, dest / name)
 
 
-def _run_suite(copy: Path) -> tuple[bool, str]:
-    """(passed, first failing test or reason) of Tier-1 run with -x in the copy."""
+def _run_suite(copy: Path, *tests: str) -> tuple[bool, str]:
+    """(passed, first failing test or reason) of Tier-1, or only of the given
+    tests, run with -x in the copy."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "--continue-on-collection-errors"],
+             "--continue-on-collection-errors", *tests],
             cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
         )
     except subprocess.TimeoutExpired:
@@ -141,7 +176,9 @@ def main() -> int:
             path.write_text(original.replace(mut.snippet, mut.replacement))
             t0 = time.perf_counter()
             try:
-                passed, why = _run_suite(copy)
+                passed, why = _run_suite(copy, mut.killer) if mut.killer else (True, "")
+                if passed:
+                    passed, why = _run_suite(copy)
             finally:
                 path.write_text(original)
             took = f"{time.perf_counter() - t0:5.1f} s"

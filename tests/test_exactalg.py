@@ -187,3 +187,14 @@ def test_gaussian_parts_are_fractions():
     assert g.re is x
     assert type(g.im) is Fraction and g.im == 2
     assert type(GaussianRational(True).re) is Fraction
+
+
+def test_gaussian_rational_defers_to_coeff():
+    # a complex scalar meets a Coeff as a constant Coeff, in either operand order
+    g, c = GaussianRational(1, 2), Coeff.indet("C1")
+    gc = Coeff.const(g)
+    assert g * c == c * g == gc * c
+    assert g + c == c + g == gc + c
+    assert g - c == gc - c
+    assert c - g == c - gc
+    assert Fraction(1, 2) * c == c * Fraction(1, 2) == c.scale(Fraction(1, 2))

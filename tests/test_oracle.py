@@ -18,7 +18,7 @@ from htoeplitz import (
     mellin_numeric,
 )
 
-from .conftest import radial_functions
+from .conftest import bind_eval, radial_functions
 
 
 def eval_numeric(p: RadialFunction, r: float, bindings: Mapping[str, complex] | None = None) -> complex:
@@ -60,13 +60,13 @@ def test_mellin_numeric_matches_table():
     phi = RadialFunction.term(1, 4, 1)
     exact = mellin(phi)
     for s in (3.0, 4.0, 5.0, 7.0):
-        assert abs(mellin_numeric(phi, s) - exact.bind_eval(s)) < 1e-10
+        assert abs(mellin_numeric(phi, s) - bind_eval(exact, s)) < 1e-10
 
 
 def test_mellin_numeric_log_squared():
     phi = RadialFunction.term(1, -1, 2)
     exact = mellin(phi)
-    assert abs(mellin_numeric(phi, 4.0) - exact.bind_eval(4.0)) < 1e-10
+    assert abs(mellin_numeric(phi, 4.0) - bind_eval(exact, 4.0)) < 1e-10
 
 
 def test_divergence_detected():

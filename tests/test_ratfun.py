@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from htoeplitz import Coeff, PoleError, RationalFn
 
-from .conftest import coeffs, pole_values, rational_functions, scalar_coeffs
+from .conftest import bind_eval, coeffs, pole_values, rational_functions, scalar_coeffs
 
 
 def test_poly_basics():
@@ -79,8 +79,29 @@ def test_shift():
 
 def test_bind_eval():
     f = RationalFn.fraction(Coeff.indet("abar1"), 2)
-    val = f.bind_eval(2.0, {"abar1": 3.0})
+    val = bind_eval(f, 2.0, {"abar1": 3.0})
     assert abs(val - 0.75) < 1e-15
+
+
+@st.composite
+def scalar_rational_functions(draw):
+    """A rational function whose values are exact scalars: a Fraction when real,
+    else a GaussianRational."""
+    fn = draw(rational_functions())
+    return RationalFn({k: c.scalar() if c.scalar().im else c.scalar().re
+                       for k, c in fn.terms.items()})
+
+
+@given(scalar_rational_functions(), scalar_rational_functions(), coeffs(), coeffs(),
+       st.integers(-4, 4))
+@settings(deadline=None, max_examples=60)
+def test_scalar_product_lifted_equals_coeff_product(a, b, ca, cb, beta):
+    # the values' Coeff factors are common to every term, so a product over
+    # scalars lifted by scale is the product over Coeff
+    lifted = (a * b.shift(beta)).scale(ca * cb)
+    assert lifted == a.scale(ca) * b.scale(cb).shift(beta)
+    assert all(isinstance(c, Coeff) for c in lifted.terms.values())
+    assert a.scale(Coeff.const(1)) == RationalFn({k: Coeff.const(c) for k, c in a.terms.items()})
 
 
 def test_partial_fractions_simple():

@@ -24,7 +24,7 @@ from htoeplitz import (
     verify_commute,
 )
 from htoeplitz import toeplitz
-from htoeplitz.toeplitz import apply_generic, basis_order, compose_generic, generic_residual
+from htoeplitz.toeplitz import basis_order, generic_residual
 
 from .conftest import coeffs, monomial_z, radial_functions
 
@@ -168,22 +168,6 @@ def test_generic_residual_alone_refutes_commutation(monkeypatch):
     assert not report.commutes
 
 
-@given(radial_functions(a_min=0, a_max=5, b_max=1), st.integers(-3, 3),
-       st.integers(0, 8))
-@settings(deadline=None, max_examples=60)
-def test_generic_matches_concrete(phi, k, n):
-    """The rational-in-n action agrees with the branch computation."""
-    f = Symbol({k: phi})
-    for side, index in ((ANALYTIC, _z), (CONJUGATE, _zbar)):
-        ga = apply_generic(f, side)
-        for d, fn in ga.terms.items():
-            if n < 1 + abs(k):   # n and n + d both index this side
-                continue
-            out = apply_quasi(k, phi, index(n))
-            expect = out.terms.get(index(n + d), Coeff.const(0))
-            assert fn.evaluate_at(Fraction(n)) == expect
-
-
 @given(st.integers(0, 6), st.integers(1, 6))
 @settings(deadline=None, max_examples=30)
 def test_generic_residual_certifies_self_commutation(n, L):
@@ -193,16 +177,20 @@ def test_generic_residual_certifies_self_commutation(n, L):
         assert generic_residual(u, u, side).terms == {}
 
 
-def test_compose_generic_consistency():
-    # (T_u T_u) z^n via generic composition vs direct application
-    u = u_symbol(2)
-    au = apply_generic(u, ANALYTIC)
-    comp = compose_generic(au, au)
-    n = 7   # at least 1 + K_u + K_u, so every entry holds
-    direct = apply_symbol(u, apply_symbol(u, HarmonicVector.basis(_z(n))))
-    for d, fn in comp.terms.items():
-        expect = direct.terms.get(_z(n + d), Coeff.const(0))
-        assert fn.evaluate_at(Fraction(n)) == expect
+@given(st.dictionaries(st.integers(-3, 3), radial_functions(a_min=-1, a_max=4, b_max=1,
+                                                           scalar=False), min_size=1, max_size=3),
+       st.integers(0, 3))
+@settings(deadline=None, max_examples=40)
+def test_generic_residual_matches_concrete(comps, L):
+    """Each generic entry at offset d, read at n >= n0*, is the coefficient of
+    e_{+-(n+d)} in the concrete commutator on e_{+-n}, and there are no others."""
+    f, u = Symbol(comps), u_symbol(L)
+    n_star = f.max_abs_degree() + u.max_abs_degree() + 1
+    for side, index in ((ANALYTIC, _z), (CONJUGATE, _zbar)):
+        entries = generic_residual(f, u, side).terms
+        for n in range(n_star, n_star + 6):
+            expect = HarmonicVector({index(n + d): fn.evaluate_at(n) for d, fn in entries.items()})
+            assert commutator_residual(f, u, index(n)) == expect
 
 
 def test_non_integrable_symbols_are_refused():
