@@ -12,6 +12,7 @@ from htoeplitz import (
     NonIntegrableSymbolError,
     PoleError,
     RadialFunction,
+    RationalFn,
     Symbol,
     abar,
     apply_quasi,
@@ -24,7 +25,7 @@ from htoeplitz import (
     verify_commute,
 )
 from htoeplitz import toeplitz
-from htoeplitz.toeplitz import basis_order, generic_residual
+from htoeplitz.toeplitz import basis_order, branch_offset, branch_z, generic_residual
 
 from .conftest import coeffs, monomial_z, radial_functions
 
@@ -168,6 +169,23 @@ def test_generic_residual_alone_refutes_commutation(monkeypatch):
     assert not report.commutes
 
 
+@given(radial_functions(a_min=0, a_max=5, b_max=1), st.integers(-3, 3),
+       st.integers(0, 8))
+@settings(deadline=None, max_examples=60)
+def test_generic_matches_concrete(phi, k, n):
+    """The rational-in-n branches, lifted by each radial coefficient, agree
+    with the concrete action of e^{ik theta} phi once n >= 1 + |k|."""
+    if n < 1 + abs(k):   # n and n + d both index this side
+        return
+    for side, index in ((ANALYTIC, _z), (CONJUGATE, _zbar)):
+        d = branch_offset(side, k)
+        fn = sum((branch_z(side, k, a, b).scale(c) for (a, b), c in phi.terms.items()),
+                 RationalFn.zero)
+        out = apply_quasi(k, phi, index(n))
+        assert set(out.terms) <= {index(n + d)}
+        assert fn.evaluate_at(Fraction(2 * n)) == out.terms.get(index(n + d), Coeff.const(0))
+
+
 @given(st.integers(0, 6), st.integers(1, 6))
 @settings(deadline=None, max_examples=30)
 def test_generic_residual_certifies_self_commutation(n, L):
@@ -191,6 +209,18 @@ def test_generic_residual_matches_concrete(comps, L):
         for n in range(n_star, n_star + 6):
             expect = HarmonicVector({index(n + d): fn.evaluate_at(n) for d, fn in entries.items()})
             assert commutator_residual(f, u, index(n)) == expect
+
+
+def test_compose_generic_consistency():
+    # [T_f, T_u] z^n via the generic composition vs two direct applications
+    u = u_symbol(2)
+    f = u * u + monomial_z(1, Coeff.indet("C1"))
+    n = 7   # at least 1 + K_f + K_u, so every entry holds
+    e_n = HarmonicVector.basis(_z(n))
+    direct = apply_symbol(f, apply_symbol(u, e_n)) - apply_symbol(u, apply_symbol(f, e_n))
+    comp = generic_residual(f, u, ANALYTIC).terms
+    assert comp
+    assert direct == HarmonicVector({_z(n + d): fn.evaluate_at(n) for d, fn in comp.items()})
 
 
 def test_non_integrable_symbols_are_refused():
