@@ -112,7 +112,7 @@ def solve_telescoping(eq: FunctionalEquation) -> Tuple[str, RadialFunction]:
     c_term = RationalFn.const(Coeff.indet(eq.unknown_name))
     numerator = c_term + eq.G.shift(-eq.d)
     try:
-        phihat = numerator / RationalFn.linear(eq.c - eq.d)
+        phihat = numerator * RationalFn({(eq.c - eq.d, 1): 1})   # numerator / (z + c - d)
         phi = inverse_mellin(phihat)
     except MellinInversionError as exc:
         raise TelescopeError(f"G incompatible with shape: {exc}") from exc

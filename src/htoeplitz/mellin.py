@@ -4,8 +4,8 @@ For phi(r) = r^a (ln r)^b the transform phihat(z) = int_0^1 phi(r) r^{z-1} dr
 equals (-1)^b b! / (z+a)^{b+1}.  A ``RationalFn`` is stored as partial
 fractions, so both directions relabel terms: r^a (ln r)^b <-> the fraction
 at (a, b+1).  The images of the radial span are the rational functions with
-no polynomial part.  ``mellin_term`` and ``mellin_at`` read single values
-straight from the terms, which is all the Toeplitz action needs.
+no polynomial part.  ``mellin_term`` reads the value of one term at one
+point, which is all the Toeplitz action needs.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactalg import Coeff, GaussianRational, Rat
+from .exactalg import Rat
 from .radial import RadialFunction
 from .ratfun import PoleError, RationalFn
 
@@ -34,16 +34,6 @@ def mellin_term(a: Fraction, b: int, s: Rat) -> Fraction:
     if s + a == 0:
         raise PoleError(-a)
     return Fraction((-1) ** b * math.factorial(b)) / (s + a) ** (b + 1)
-
-
-def mellin_at(p: RadialFunction, s: Rat) -> Coeff:
-    """The value phihat(s), equal to ``mellin(p).evaluate_at(s)`` without building
-    the rational function; raises PoleError when s + a = 0 for a term of p."""
-    s = Fraction(s)
-    out = Coeff()
-    for (a, b), c in p.terms.items():
-        out = out + c.scale(GaussianRational(mellin_term(a, b, s)))
-    return out
 
 
 def inverse_mellin(a: RationalFn) -> RadialFunction:

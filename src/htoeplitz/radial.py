@@ -61,11 +61,6 @@ class RadialFunction(Terms):
         c = Coeff.coerce(c)
         return RadialFunction({k: v * c for k, v in self.terms.items()})
 
-    def shift(self, j: Rat) -> "RadialFunction":
-        """Multiply by r^j: every exponent a becomes a + j."""
-        j = Fraction(j)
-        return RadialFunction({(a + j, b): c for (a, b), c in self.terms.items()})
-
     # -- integrability -----------------------------------------------------
 
     def is_integrable(self) -> bool:

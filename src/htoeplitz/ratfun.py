@@ -208,8 +208,9 @@ class RationalFn(Terms):
     def __truediv__(self, other):
         """Division restricted to denominators whose roots are rational.
 
-        Enough for this package: every divisor that arises is a product of
-        monic linear factors (z+q) times a scalar.
+        Serves only parsed input (``parser``): the exact path multiplies by
+        1/(z+q) directly.  Every divisor it accepts is a scalar times a
+        product of monic linear factors (z+q).
         """
         other = RationalFn.coerce(other)
         if other is NotImplemented:
@@ -332,9 +333,8 @@ def _rational_root(p: RationalFn) -> Fraction | None:
     division, and raises ValueError when either exceeds ``_ROOT_SEARCH_MAX``,
     which bounds that division, or when there are more than
     ``_ROOT_PAIRS_MAX`` pairs of divisors to try.  Returns None if no pair
-    works or the coefficients are not scalar rationals.  Used only to invert
-    denominators, which in this package are products of (z+q) with small
-    rational q.
+    works or the coefficients are not scalar rationals.  Used only by
+    ``RationalFn.__truediv__``, to invert the denominators of parsed input.
     """
     cs = []
     for c in p.coeffs:

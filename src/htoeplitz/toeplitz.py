@@ -12,6 +12,8 @@ commutator check split a symbol by the monomials of its coefficients: the
 concrete action has one scalar per column entry, and the generic action (for
 every n above a threshold) one scalar rational function of the index per
 piece, so a ``Coeff`` enters only when a nonzero residual is written back.
+``_Entries`` is the one concrete column formula: ``apply_quasi``,
+``apply_symbol`` and the concrete residual all read it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from math import factorial
 from typing import Dict
 
 from .exactalg import Coeff, GaussianRational, Rat, Terms, _mono_mul, aname, render_sum, render_term
-from .mellin import mellin_at, mellin_term
+from .mellin import mellin_term
 from .radial import RadialFunction
 from .ratfun import RationalFn, _acc
 
@@ -101,18 +103,6 @@ def u_symbol(L: int) -> Symbol:
 # concrete application
 
 
-def apply_quasi(k: int, phi: RadialFunction, m: int) -> HarmonicVector:
-    """Action of the Toeplitz operator with symbol e^{ik theta} phi on e_m.
-
-    The product lies in angular degree m + k, and its projection onto
-    e_{m+k} is T e_m = 2(|m+k|+1) phihat(|m|+|m+k|+2) e_{m+k}: one Mellin
-    value of phi, read pointwise by ``mellin_at`` rather than from the whole
-    transform.
-    """
-    j = abs(m + k)
-    return HarmonicVector({m + k: mellin_at(phi, abs(m) + j + 2).scale(2 * (j + 1))})
-
-
 class NonIntegrableSymbolError(ValueError):
     """A symbol term r^a (ln r)^b with a <= -2, which is not in L^1([0,1), r dr).
 
@@ -163,6 +153,19 @@ def _pieces(sym: Symbol) -> list:
             for mono, g in coeff.terms.items():
                 groups.setdefault((mono, k), []).append((a, b, g if g.im else g.re))
     return [(mono, k, _Entries(k, terms)) for (mono, k), terms in groups.items()]
+
+
+def apply_quasi(k: int, phi: RadialFunction, m: int) -> HarmonicVector:
+    """Action of the Toeplitz operator with symbol e^{ik theta} phi on e_m.
+
+    The product lies in angular degree m + k, and its projection onto
+    e_{m+k} is T e_m = 2(|m+k|+1) phihat(|m|+|m+k|+2) e_{m+k}: one Mellin
+    value of phi, read from the column entries F(m) that ``apply_symbol``
+    and the certificate use.  Unlike ``apply_symbol`` it does not check
+    integrability; a term at a pole of phihat raises PoleError.
+    """
+    return HarmonicVector({m + k: Coeff({mu: GaussianRational.coerce(F[m])
+                                         for mu, _, F in _pieces(Symbol({k: phi}))})})
 
 
 def apply_symbol(f: Symbol, w: HarmonicVector) -> HarmonicVector:

@@ -53,7 +53,7 @@ MUTANTS = [
            killer="tests/test_golden_reports.py::test_golden_report[derive-L1]"),
     Mutant("concrete range ends at n_max", "toeplitz.py",
            "top = max(n_max, n_star)", "top = n_max",
-           killer="tests/test_toeplitz.py::test_verify_commute_witnesses_match_direct_formula"),
+           killer="tests/test_toeplitz.py::test_witnesses_cover_the_range_up_to_the_threshold"),
     Mutant("concrete loop starts at -top+1", "toeplitz.py",
            "range(-top, top + 1)", "range(-top + 1, top + 1)",
            killer="tests/test_golden_reports.py::test_golden_report[verify-nonzero]"),
@@ -73,9 +73,10 @@ MUTANTS = [
     Mutant("generic lift uses mu_f, not mu_f mu_u", "toeplitz.py",
            "_mono_mul(ma, mb), B", "ma, B",
            killer="tests/test_acceptance.py::test_criterion_9_main_theorem"),
-    Mutant("apply_quasi with j = |m| + k", "toeplitz.py",
-           "j = abs(m + k)", "j = abs(m) + k",
-           killer="tests/test_acceptance.py::test_criterion_2_engine_vs_oracle"),
+    # the symbol u = z + sum abar_l zbar^l
+    Mutant("u_symbol without its abar factor", "toeplitz.py",
+           "RadialFunction.term(Coeff.indet(aname(l)), l)", "RadialFunction.term(1, l)",
+           killer="tests/test_acceptance.py::test_criterion_3_f1"),
     # the per-monomial concrete residual (toeplitz._Entries and _residual)
     Mutant("entry memo keyed by |m|", "toeplitz.py",
            "self[m] = x = ", "self[abs(m)] = x = ",
@@ -111,6 +112,9 @@ MUTANTS = [
     Mutant("solve_telescoping without its G check", "derive.py",
            "if eq.G.shift(2) - eq.G != eq.rhs:", "if False:",
            killer="tests/test_derive.py::test_solver_rejects_wrong_rhs"),
+    Mutant("solve's fraction at d - c, not c - d", "derive.py",
+           "RationalFn({(eq.c - eq.d, 1): 1})", "RationalFn({(eq.d - eq.c, 1): 1})",
+           killer="tests/test_acceptance.py::test_criterion_3_f1"),
     Mutant("solve_telescoping without its _satisfies guard", "derive.py",
            "if not _satisfies(eq, phi):", "if False:",
            killer="tests/test_derive.py::test_solver_rejects_corrupted_inverse"),

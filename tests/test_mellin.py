@@ -4,14 +4,15 @@ import pytest
 from hypothesis import assume, given, settings
 
 from htoeplitz import (
+    Coeff,
     MellinInversionError,
     PoleError,
     RadialFunction,
     RationalFn,
     inverse_mellin,
     mellin,
-    mellin_at,
 )
+from htoeplitz.mellin import mellin_term
 
 from .conftest import fractions, radial_functions
 
@@ -60,21 +61,18 @@ def test_round_trip(phi):
 
 @given(radial_functions(scalar=False), fractions())
 @settings(deadline=None)
-def test_mellin_at_matches_transform(phi, s):
+def test_mellin_term_matches_transform(phi, s):
     assume(all(s + a != 0 for a, _ in phi.terms))
-    assert mellin_at(phi, s) == mellin(phi).evaluate_at(s)
+    value = sum((c * mellin_term(a, b, s) for (a, b), c in phi.terms.items()), Coeff())
+    assert value == mellin(phi).evaluate_at(s)
 
 
 @given(radial_functions(scalar=False))
 @settings(deadline=None)
-def test_mellin_at_pole(phi):
-    for a, _ in phi.terms:
+def test_mellin_term_pole(phi):
+    for a, b in phi.terms:
         with pytest.raises(PoleError) as point:
-            mellin_at(phi, -a)
+            mellin_term(a, b, -a)
         with pytest.raises(PoleError) as whole:
             mellin(phi).evaluate_at(-a)
         assert point.value.q == whole.value.q == -a
-
-
-def test_mellin_at_zero():
-    assert mellin_at(RadialFunction.zero, 3).is_zero()

@@ -8,15 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from htoeplitz import (
+    ANALYTIC,
+    CONJUGATE,
+    C,
+    HarmonicVector,
     QuadratureDivergenceError,
     RadialFunction,
+    Symbol,
     abar,
     apply_numeric,
     apply_quasi,
+    commutator_residual,
     compare,
     mellin,
     mellin_numeric,
+    u_symbol,
 )
+from htoeplitz.toeplitz import generic_residual
 
 from .conftest import bind_eval, radial_functions
 
@@ -120,3 +128,46 @@ def test_bindings_flow_through():
     sym = apply_quasi(1, phi, 1)
     num = apply_numeric(1, phi, 1, bindings)
     assert compare(sym, num, bindings, tol=1e-10)["ok"]
+
+
+def _apply_numeric_symbol(f: Symbol, w: Mapping[int, complex], bindings) -> dict:
+    """T_f w from quadrature alone, one apply_numeric call per component and index."""
+    out: dict = {}
+    for k, phi in f.terms.items():
+        for m, c in w.items():
+            for j, x in apply_numeric(k, phi, m, bindings).items():
+                out[j] = out.get(j, 0j) + c * x
+    return out
+
+
+def test_commutator_certificate_against_quadrature():
+    """The certificate's entries against T_f T_u - T_u T_f built from quadrature:
+    the concrete residual on every index up to n0* + 2, and each generic entry
+    read at n in [n0*, n0* + 5], with abar and C bound to random values.  The
+    quadrature side spells u out itself, so it does not share u_symbol."""
+    rng = random.Random(11)
+    bindings = {name: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                for name in ("abar1", "abar2", "C0", "C1", "C2")}
+    u = u_symbol(2)
+    u_ref = Symbol({1: RadialFunction.term(1, 1), -1: RadialFunction.term(abar(1), 1),
+                    -2: RadialFunction.term(abar(2), 2)})
+    f = Symbol({2: RadialFunction.term(C(2), 2) + RadialFunction.term(C(1) * abar(1), 0, 1),
+                0: RadialFunction.term(Fraction(1, 2), -1, 1),
+                -1: RadialFunction.term(C(0), 1)})
+    n_star = f.max_abs_degree() + u.max_abs_degree() + 1
+
+    def numeric(m):
+        fu = _apply_numeric_symbol(f, _apply_numeric_symbol(u_ref, {m: 1}, bindings), bindings)
+        uf = _apply_numeric_symbol(u_ref, _apply_numeric_symbol(f, {m: 1}, bindings), bindings)
+        return {j: fu.get(j, 0j) - uf.get(j, 0j) for j in set(fu) | set(uf)}
+
+    for m in range(-n_star - 2, n_star + 3):
+        result = compare(commutator_residual(f, u, m), numeric(m), bindings, tol=1e-9)
+        assert result["ok"], (m, result)
+    for side, sign in ((ANALYTIC, 1), (CONJUGATE, -1)):
+        entries = generic_residual(f, u, side).terms
+        assert entries
+        for n in range(n_star, n_star + 6):
+            sym = HarmonicVector({sign * (n + d): fn.evaluate_at(n) for d, fn in entries.items()})
+            result = compare(sym, numeric(sign * n), bindings, tol=1e-9)
+            assert result["ok"], (side, n, result)

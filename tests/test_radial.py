@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 from hypothesis import given
-from hypothesis import strategies as st
 
 from htoeplitz import C, Coeff, RadialFunction, abar
 
@@ -21,11 +20,6 @@ def test_log_powers_multiply():
     lnr = RadialFunction.term(1, 0, 1)
     assert lnr * lnr == RadialFunction.term(1, 0, 2)
     assert (lnr * RadialFunction.term(1, 2, 1)) == RadialFunction.term(1, 2, 2)
-
-
-def test_shift():
-    phi = RadialFunction.term(1, -2) + RadialFunction.term(2, 0, 1)
-    assert phi.shift(3) == RadialFunction.term(1, 1) + RadialFunction.term(2, 3, 1)
 
 
 def test_integrability_boundary():
@@ -64,8 +58,3 @@ def test_ring_laws(f, g, h):
     assert f + g == g + f
     assert f * g == g * f
     assert f * (g + h) == f * g + f * h
-
-
-@given(radial_functions(), st.integers(-3, 3))
-def test_shift_is_multiplication(f, j):
-    assert f.shift(j) == f * RadialFunction.term(1, j)

@@ -1,4 +1,5 @@
-"""sympy as a second exact oracle for the rational-function layer.
+"""sympy as a second exact oracle for the rational-function layer and the
+Mellin table.
 
 Every RationalFn is compared as a value with the sympy expression built by
 the same operation: their difference, read into sympy's field of rational
@@ -6,7 +7,9 @@ functions over Q(i), must cancel to 0 (``cancel`` on expressions gives the
 same verdict but is many times slower on Gaussian coefficients).
 The stored partial fractions are compared term by term with ``apart``, and
 the ``num``/``den`` views with ``cancel``.  Inputs have scalar
-Gaussian-rational coefficients, which sympy represents exactly.
+Gaussian-rational coefficients, which sympy represents exactly.  The Mellin
+table is checked against sympy's own integral at integer exponents only:
+sympy is seconds slower at fractional ones, or leaves the integral unevaluated.
 """
 
 from fractions import Fraction
@@ -15,7 +18,8 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from htoeplitz import Coeff, RationalFn
+from htoeplitz import Coeff, RadialFunction, RationalFn, mellin
+from htoeplitz.mellin import mellin_term
 
 from .conftest import fractions, pole_values, rational_functions, scalar_coeffs
 
@@ -117,3 +121,13 @@ def test_reduced_quotient_against_cancel(f):
         den *= (z + _rat(pole)) ** m
     assert sympy.expand(den - q / lead) == 0
     assert sympy.expand(to_sympy(f.num) - p / lead) == 0
+
+
+def test_mellin_table_against_integral():
+    # phihat(s) = int_0^1 r^{s+a-1} (ln r)^b dr, read from the transform and by mellin_term
+    r = sympy.Symbol("r", positive=True)
+    for a, b, s in [(-1, 0, 3), (-1, 2, 4), (0, 1, 3), (0, 3, 2), (2, 1, 4), (2, 2, 3),
+                    (5, 0, 3), (5, 1, 2)]:
+        exact = sympy.integrate(r ** (s + a - 1) * sympy.log(r) ** b, (r, 0, 1))
+        assert _num(mellin(RadialFunction.term(1, a, b)).evaluate_at(s)) == exact
+        assert _rat(mellin_term(Fraction(a), b, s)) == exact

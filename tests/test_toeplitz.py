@@ -112,6 +112,11 @@ def test_apply_quasi_matches_transform(phi):
         assert len(branches) == 4
 
 
+def test_zero_symbol_acts_as_zero():
+    for k, m in [(2, _z(3)), (0, _z(0)), (-3, _zbar(1))]:
+        assert apply_quasi(k, RadialFunction.zero, m).is_zero()
+
+
 def test_constant_symbol_is_identity_scalar():
     one = Symbol({0: RadialFunction.const(1)})
     for m in (_z(0), _z(3), _zbar(2)):
@@ -135,6 +140,14 @@ def test_commutator_witness():
     u = u_symbol(1)
     res = commutator_residual(f, u, _z(1))
     assert res == HarmonicVector.basis(_z(2), abar(1).scale(Fraction(-1, 4)))
+
+
+def test_witnesses_cover_the_range_up_to_the_threshold():
+    # n_max = 0 still checks every index up to n0* = 4, where z^2 and
+    # z + abar1 zbar fail to commute on each e_m but e_0
+    report = verify_commute(monomial_z(2), u_symbol(1), n_max=0)
+    assert report.threshold == 4
+    assert [m for m, _ in report.witnesses] == [1, 2, 3, 4, -1, -2, -3, -4]
 
 
 def test_self_commutation():
@@ -239,11 +252,13 @@ def test_non_integrable_symbols_are_refused():
 
 
 def _apply_direct(f, w):
-    """T_f w term by term with apply_quasi: the reference for the per-monomial path."""
+    """T_f w term by term from the whole transform of each component: the
+    reference for the per-monomial path, sharing no column entry with it."""
     out = HarmonicVector()
     for k, phi in f.terms.items():
         for m, c in w.terms.items():
-            out = out + HarmonicVector({x: y * c for x, y in apply_quasi(k, phi, m).terms.items()})
+            _, image = _apply_quasi_via_transform(k, phi, m)
+            out = out + HarmonicVector({x: y * c for x, y in image.terms.items()})
     return out
 
 
