@@ -3,7 +3,8 @@
 Every command writes a RunReport as JSON to stdout (pretty text with
 --pretty).  Exit status: 0 on success, 1 on a mathematical failure
 (nonzero residual, non-integrable symbol, divergent quadrature, solver
-soundness failure), 2 on a usage error.  The report shape is fixed by
+soundness failure, a rational function with no inverse Mellin transform, a
+failed telescoping solve), 2 on a usage error.  The report shape is fixed by
 schema/runreport.schema.json.
 """
 
@@ -16,8 +17,8 @@ import random
 import sys
 from fractions import Fraction
 
-from .derive import ALL_LEMMA_TAGS, check_lemma_tag, reproduce_lemma, run_pipeline
-from .exactalg import Coeff, GaussianRational, indet_key
+from .derive import ALL_LEMMA_TAGS, TelescopeError, check_lemma_tag, reproduce_lemma, run_pipeline
+from .exactalg import Coeff, GaussianRational
 from .mellin import MellinInversionError, inverse_mellin, mellin
 from .oracle import QuadratureDivergenceError, apply_numeric, compare
 from .parser import (
@@ -39,12 +40,8 @@ from .toeplitz import (
     verify_commute,
 )
 
-SCHEMA_ID = "htoeplitz/runreport/1"
+SCHEMA_ID = "htoeplitz/runreport/2"
 _PARSER = None   # built by the first call of main, then reused: parse_args keeps no state
-
-
-class MathFailure(Exception):
-    """A well-posed computation with a negative mathematical verdict."""
 
 
 def _report(command, inputs, result, warnings=(), ok=True):
@@ -56,25 +53,6 @@ def _report(command, inputs, result, warnings=(), ok=True):
         "warnings": list(warnings),
         "status": "ok" if ok else "fail",
     }
-
-
-def _parse_binding(text: str):
-    """An argparse type: NAME=A+BI with NAME an indeterminate (Ck, Cmk, abarl)."""
-    name, _, val = text.partition("=")
-    name = name.strip()
-    if not name or not val:
-        raise argparse.ArgumentTypeError(f"binding must look like name=a+bi, got {text!r}")
-    try:
-        indet_key(name)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{name!r} is not an indeterminate (Ck, Cmk or abarl)"
-        ) from None
-    try:
-        z = complex(val.replace("i", "j"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot read {val!r} as a complex number") from None
-    return name, z
 
 
 def _int_at_least(lo: int):
@@ -108,10 +86,6 @@ def _lemma_tag(text: str) -> str:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
-def _bindings(args) -> dict:
-    return dict(getattr(args, "bind", None) or [])
-
-
 # ---------------------------------------------------------------------------
 # command bodies: each returns (result, warnings, ok, pretty_lines)
 
@@ -125,10 +99,7 @@ def _cmd_mellin(args):
 
 def _cmd_invmellin(args):
     a = parse_rational_expr(args.expr)
-    try:
-        phi = inverse_mellin(a)
-    except MellinInversionError as e:
-        raise MathFailure(str(e)) from None
+    phi = inverse_mellin(a)
     result = {"input": a.render(), "result": str(phi), "radial": phi.to_json()}
     return result, [], True, [f"{a.render()}  ->  {phi}"]
 
@@ -225,22 +196,19 @@ def _random_radial(rng: random.Random) -> RadialFunction:
 
 def _cmd_oracle_check(args):
     rng = random.Random(args.seed)
-    bindings = _bindings(args)
     failures = []
     worst = 0.0
-    used = set()
     for case in range(args.cases):
         k = rng.randint(-4, 4)
         phi = _random_radial(rng)
-        used |= phi.indeterminates()
         m = rng.randint(0, 8) * rng.choice((1, -1))   # z^n or zbar^n
         sym = apply_quasi(k, phi, m)
         try:
-            num = apply_numeric(k, phi, m, bindings)
+            num = apply_numeric(k, phi, m)
         except QuadratureDivergenceError as e:
             failures.append({"case": case, "error": str(e)})
             continue
-        cmp = compare(sym, num, bindings, tol=args.tol)
+        cmp = compare(sym, num, tol=args.tol)
         worst = max(worst, cmp["max_diff"])
         if not cmp["ok"]:
             failures.append(
@@ -266,10 +234,7 @@ def _cmd_oracle_check(args):
         f"max engine/oracle difference: {worst:.3e} (tolerance {args.tol:g})",
         f"failures: {len(failures)}",
     ]
-    warnings = [
-        f"--bind {name}: no case uses this indeterminate" for name in bindings if name not in used
-    ]
-    return result, warnings, ok, lines
+    return result, [], ok, lines
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=_int_at_least(2), required=True, help="starting top degree of f")
     p.add_argument("--K", type=_int_at_least(0), required=True, help="deepest conjugate degree")
     p.add_argument("--nmax", type=_int_at_least(0), default=20)
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
     p.set_defaults(body=_cmd_derive)
 
     p = sub.add_parser("verify-paper", help="re-derive the published formulas and diff")
@@ -324,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", type=_int_at_least(1), default=100)
     p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bind", type=_parse_binding, action="append", metavar="NAME=A+BI")
     p.set_defaults(body=_cmd_oracle_check)
 
     return parser
@@ -332,15 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _inputs_echo(args) -> dict:
     skip = {"command", "body", "pretty"}
-    out = {}
-    for key, val in vars(args).items():
-        if key in skip or val is None:
-            continue
-        if key == "bind":
-            out[key] = {name: [z.real, z.imag] for name, z in val}
-        else:
-            out[key] = val
-    return out
+    return {key: val for key, val in vars(args).items() if key not in skip and val is not None}
 
 
 def _guard_leading_minus(argv):
@@ -363,7 +318,7 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (MathFailure, NonIntegrableSymbolError) as e:
+    except (MellinInversionError, NonIntegrableSymbolError, TelescopeError) as e:
         report = _report(args.command, _inputs_echo(args), {"error": str(e)}, [], ok=False)
         print(json.dumps(report, indent=2))
         return 1

@@ -11,9 +11,8 @@ product multiplies term by term, with a product of fractions at two poles
 split by
 1/((z+p)^a (z+q)^b) = sum_n (-1)^n C(b+n-1, n) (q-p)^(-b-n) / (z+p)^(a-n)
 + (p <-> q).  The Mellin images of the radial span are exactly the forms
-with no polynomial part.  ``RationalFn.quotient`` reduces num / prod (z+q)^m
-to that form, and ``num`` / ``den`` give the reduced quotient back with a
-monic denominator, for rendering and serialization.  The values are
+with no polynomial part.  ``num`` / ``den`` write one as a reduced quotient
+with a monic denominator, for rendering and serialization.  The values are
 ``Coeff``s or exact scalars (int, Fraction, GaussianRational), never both in
 one ``RationalFn``; ``fn.scale(coeff)`` lifts a scalar one to a ``Coeff`` one.
 """
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import comb, gcd, lcm
+from math import comb, lcm
 from typing import Dict, Mapping, Tuple
 
 from .exactalg import Coeff, GaussianRational, Rat, Terms, render_sum, render_term
@@ -130,17 +129,6 @@ class RationalFn(Terms):
     def fraction(c, q: Rat, power: int = 1) -> "RationalFn":
         """c / (z+q)^power, power >= 1."""
         return RationalFn({(Fraction(q), power): Coeff.coerce(c)})
-
-    @staticmethod
-    def quotient(num, den: Mapping[Rat, int] | None = None) -> "RationalFn":
-        """num / prod (z+q)^m over den[q] = m, reduced to partial fractions."""
-        out = RationalFn.coerce(num)
-        for q, m in (den or {}).items():
-            if m < 0:
-                raise ValueError("negative multiplicity")
-            if m:
-                out = out * RationalFn.fraction(1, q, m)
-        return out
 
     zero: "RationalFn"
     one: "RationalFn"
@@ -321,71 +309,70 @@ class RationalFn(Terms):
         }
 
 
-_ROOT_SEARCH_MAX = 10**12   # caps the trial division at 10**6 steps per coefficient
-_ROOT_PAIRS_MAX = 5000      # caps the (divisor of a0, divisor of an) pairs tried
+def _horner(cs, x: Fraction) -> Fraction:
+    """The polynomial with coefficients cs (constant term first) at x."""
+    return reduce(lambda acc, c: acc * x + c, reversed(cs), Fraction(0))
+
+
+def _sturm(cs: list) -> list:
+    """The Sturm sequence p, p', -rem(p, p'), ... of a polynomial of degree >= 1
+    (coefficient lists, constant term first, over Fractions)."""
+    seq = [cs, [i * c for i, c in enumerate(cs)][1:]]
+    while len(seq[-1]) > 1:
+        a, b = list(seq[-2]), seq[-1]
+        while len(a) >= len(b):   # a -> rem(a, b)
+            f, shift = a[-1] / b[-1], len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= f * c
+            while a and not a[-1]:
+                a.pop()
+        if not a:
+            break
+        seq.append([-c for c in a])
+    return seq
 
 
 def _rational_root(p: RationalFn) -> Fraction | None:
-    """A rational root of a polynomial with scalar rational coefficients.
+    """A rational root of a polynomial of degree >= 1 with scalar rational
+    coefficients; None if it has none or a coefficient is not a rational.
 
-    A linear a1 z + a0 has the root -a0/a1.  Otherwise searches divisors of
-    the trailing/leading coefficients (rational root theorem) by trial
-    division, and raises ValueError when either exceeds ``_ROOT_SEARCH_MAX``,
-    which bounds that division, or when there are more than
-    ``_ROOT_PAIRS_MAX`` pairs of divisors to try.  Returns None if no pair
-    works or the coefficients are not scalar rationals.  Used only by
-    ``RationalFn.__truediv__``, to invert the denominators of parsed input.
+    With the coefficients cleared to integers a_0..a_n, a root b/c in lowest
+    terms has c | a_n, so w = a_n z is an integer at every rational root and
+    never a half-integer.  Sturm's theorem counts the distinct real roots with
+    w between two half-integers; bisecting on half-integers down to unit
+    intervals leaves one integer candidate per root, and one exact evaluation
+    settles it.  The work is polynomial in the degree and the bit length.
+    Used only by ``RationalFn.__truediv__``, to invert the denominators of
+    parsed input.
     """
     cs = []
     for c in p.coeffs:
-        if not c.is_scalar():
+        if not c.is_scalar() or c.scalar().im:
             return None
-        s = c.scalar()
-        if s.im != 0:
-            return None
-        cs.append(s.re)
-    if not cs:
-        return None
-    if len(cs) == 2:
-        return -cs[0] / cs[1]
-    # strip zero roots
-    if cs[0] == 0:
-        return Fraction(0)
-    # clear denominators to integers
-    denoms = lcm(*[f.denominator for f in cs])
-    ints = [int(f * denoms) for f in cs]
-    g = reduce(gcd, (abs(i) for i in ints if i), 0)
-    if g > 1:
-        ints = [i // g for i in ints]
-    a0, an = abs(ints[0]), abs(ints[-1])
-    if max(a0, an) > _ROOT_SEARCH_MAX:
-        raise ValueError(
-            f"divisor of degree {len(cs) - 1} has a coefficient above 10^12; "
-            "its rational roots are not searched"
-        )
+        cs.append(c.scalar().re)
+    if cs[-1] < 0:
+        cs = [-c for c in cs]
+    an = int(cs[-1] * lcm(*(c.denominator for c in cs)))
+    bound = an + int(max(abs(c) for c in cs[:-1]) / cs[-1] * an) + 1   # Cauchy: |w| < bound
+    seq = _sturm(cs)
 
-    def divisors(n):
-        out = set()
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.add(d)
-                out.add(n // d)
-            d += 1
-        return sorted(out)
+    def variations(j: int) -> int:
+        """Sign changes of the Sturm sequence at w = j + 1/2, never a root."""
+        signs = [v for q in seq if (v := _horner(q, Fraction(2 * j + 1, 2 * an)))]
+        return sum((x > 0) != (y > 0) for x, y in zip(signs, signs[1:]))
 
-    nums, dens = divisors(a0), divisors(an)
-    if len(nums) * len(dens) > _ROOT_PAIRS_MAX:
-        raise ValueError(
-            f"divisor of degree {len(cs) - 1} has {len(nums) * len(dens)} pairs of "
-            f"end-coefficient divisors, more than {_ROOT_PAIRS_MAX}; "
-            "its rational roots are not searched"
-        )
-    for pnum in nums:
-        for pden in dens:
-            for cand in (Fraction(pnum, pden), Fraction(-pnum, pden)):
-                if sum(c * cand ** i for i, c in enumerate(ints)) == 0:
-                    return cand
+    stack = [(-bound - 1, variations(-bound - 1), bound, variations(bound))]
+    while stack:   # (lo, V(lo), hi, V(hi)): V(lo) - V(hi) roots with lo + 1/2 < w < hi + 1/2
+        lo, vlo, hi, vhi = stack.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo == 1:
+            if not _horner(cs, Fraction(hi, an)):
+                return Fraction(hi, an)
+            continue
+        mid = (lo + hi) // 2
+        vmid = variations(mid)
+        stack += [(mid, vmid, hi, vhi), (lo, vlo, mid, vmid)]
     return None
 
 

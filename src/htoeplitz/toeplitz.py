@@ -274,11 +274,7 @@ class CommutationReport:
             "commutes": self.commutes,
             "threshold": self.threshold,
             "generic_residuals": {
-                side: {
-                    str(d): {"fn": fn.render("n"), "valid_from": self.threshold,
-                             "zero": fn.is_zero()}
-                    for d, fn in sorted(entries.terms.items())
-                }
+                side: {str(d): fn.render("n") for d, fn in sorted(entries.terms.items())}
                 for side, entries in self.generic.items()
             },
             "generic_nonzero": [

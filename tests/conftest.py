@@ -58,6 +58,14 @@ def monomial_z(n: int, coeff=1) -> Symbol:
     return Symbol({n: RadialFunction.term(coeff, abs(n))})
 
 
+def quotient(num, den=None) -> RationalFn:
+    """num / prod (z+q)^m over den[q] = m >= 1, reduced to partial fractions."""
+    out = RationalFn.coerce(num)
+    for q, m in (den or {}).items():
+        out = out * RationalFn.fraction(1, q, m)
+    return out
+
+
 pole_values = st.sampled_from([Fraction(q) for q in range(-12, 13, 2)])
 
 

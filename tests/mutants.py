@@ -129,6 +129,18 @@ MUTANTS = [
     Mutant("f-2 built without f0 among its known components", "derive.py",
            "{**upper, 0: f0, -1: fm1}", "{**upper, -1: fm1}",
            killer="tests/test_golden_reports.py::test_golden_report[verify-paper]"),
+    # exact rational roots of parsed divisors (ratfun._rational_root)
+    Mutant("Sturm sequence without its sign flips", "ratfun.py",
+           "seq.append([-c for c in a])", "seq.append(a)",
+           killer="tests/test_golden_reports.py::test_golden_report[invmellin]"),
+    Mutant("bisection counts the right half from mid + 1", "ratfun.py",
+           "vmid = variations(mid)", "vmid = variations(mid + 1)",
+           killer="tests/test_golden_reports.py::test_golden_report[invmellin]"),
+    # the command line: a failed solve is a report with exit 1, not a traceback
+    Mutant("TelescopeError dropped from the failure tuple", "cli.py",
+           "except (MellinInversionError, NonIntegrableSymbolError, TelescopeError) as e:",
+           "except (MellinInversionError, NonIntegrableSymbolError) as e:",
+           killer="tests/test_cli.py::test_telescope_error_is_math_failure"),
 ]
 
 

@@ -11,6 +11,7 @@ from htoeplitz import (
     ANALYTIC,
     CONJUGATE,
     C,
+    Coeff,
     HarmonicVector,
     QuadratureDivergenceError,
     RadialFunction,
@@ -24,7 +25,7 @@ from htoeplitz import (
     mellin_numeric,
     u_symbol,
 )
-from htoeplitz.toeplitz import generic_residual
+from htoeplitz.toeplitz import branch_offset, branch_z, generic_residual
 
 from .conftest import bind_eval, radial_functions
 
@@ -117,6 +118,21 @@ def test_engine_oracle_agreement(phi, k, n, analytic):
     sym = apply_quasi(k, phi, m)
     num = apply_numeric(k, phi, m)
     assert compare(sym, num, tol=1e-9)["ok"]
+
+
+@pytest.mark.parametrize("side", [ANALYTIC, CONJUGATE])
+def test_branch_z_against_quadrature(side):
+    """Above the threshold, e^{ik theta} r^a (ln r)^b takes e_n (analytic side)
+    or e_{-n} (conjugate side) to branch_z at z = 2n times the basis vector
+    n + d steps out, for every n >= |k|; quadrature computes the same entry."""
+    sign = 1 if side == ANALYTIC else -1
+    for k in range(-3, 4):
+        for a, b in ((0, 0), (3, 1), (-1, 2), (Fraction(1, 2), 1)):
+            fn = branch_z(side, k, a, b).scale(Coeff.const(1))
+            for n in range(abs(k), abs(k) + 4):
+                [(j, num)] = apply_numeric(k, RadialFunction.term(1, a, b), sign * n).items()
+                assert j == sign * (n + branch_offset(side, k))
+                assert abs(fn.evaluate_at(2 * n).bind({}) - num) < 1e-9, (k, a, b, n)
 
 
 def test_bindings_flow_through():

@@ -6,7 +6,8 @@ the same operation: their difference, read into sympy's field of rational
 functions over Q(i), must cancel to 0 (``cancel`` on expressions gives the
 same verdict but is many times slower on Gaussian coefficients).
 The stored partial fractions are compared term by term with ``apart``, and
-the ``num``/``den`` views with ``cancel``.  Inputs have scalar
+the ``num``/``den`` views with ``cancel``, and the rational roots found
+for division with sympy's ``roots``.  Inputs have scalar
 Gaussian-rational coefficients, which sympy represents exactly.  The Mellin
 table is checked against sympy's own integral at integer exponents only:
 sympy is seconds slower at fractional ones, or leaves the integral unevaluated.
@@ -20,8 +21,9 @@ from hypothesis import strategies as st
 
 from htoeplitz import Coeff, RadialFunction, RationalFn, mellin
 from htoeplitz.mellin import mellin_term
+from htoeplitz.ratfun import _rational_root
 
-from .conftest import fractions, pole_values, rational_functions, scalar_coeffs
+from .conftest import fractions, pole_values, quotient, rational_functions, scalar_coeffs
 
 z = sympy.Symbol("z")
 K, _ = sympy.field("z", sympy.QQ_I)
@@ -102,7 +104,7 @@ def quotients(draw):
 @oracle
 def test_partial_fractions_against_apart(nd):
     num, den = nd
-    f = RationalFn.quotient(num, den)
+    f = quotient(num, den)
     expr = to_sympy(num)
     for q, m in den.items():
         expr = expr / (z + _rat(q)) ** m
@@ -121,6 +123,32 @@ def test_reduced_quotient_against_cancel(f):
         den *= (z + _rat(pole)) ** m
     assert sympy.expand(den - q / lead) == 0
     assert sympy.expand(to_sympy(f.num) - p / lead) == 0
+
+
+@st.composite
+def divisor_polys(draw):
+    """A rational times linear factors c z + b, some with 13-digit roots, times
+    monic quadratics, whose roots may be irrational or not real."""
+    p = RationalFn.const(draw(fractions()) or 1)
+    for _ in range(draw(st.integers(0, 3))):
+        b = draw(st.one_of(st.integers(-9, 9), st.integers(-10**12, 10**12)))
+        p = p * RationalFn.poly({0: b, 1: draw(st.integers(1, 12))})
+    for _ in range(draw(st.integers(0, 2))):
+        p = p * RationalFn.poly({0: draw(st.integers(-20, 20)), 1: draw(st.integers(-20, 20)), 2: 1})
+    return p
+
+
+@given(divisor_polys())
+@oracle
+def test_rational_roots_against_sympy(p):
+    assume(p.degree() >= 1)
+    expected = sympy.roots(sympy.Poly(to_sympy(p), z), filter="Q")
+    found = []
+    while p.degree() >= 1 and (root := _rational_root(p)) is not None:
+        found.append(root)
+        p = p * RationalFn.fraction(1, -root)
+        assert not p.fractions   # z - root divides p exactly
+    assert sorted(map(_rat, found)) == sorted(r for r, m in expected.items() for _ in range(m))
 
 
 def test_mellin_table_against_integral():
