@@ -47,21 +47,16 @@ class FunctionalEquation:
 
 
 def antidifference(h: RationalFn) -> RationalFn:
-    """A rational g with g(z+2) - g(z) = h(z), or TelescopeError.
+    """The proper rational g with g(z+2) - g(z) = h(z), for h with no polynomial part.
 
     Partial-fraction terms are matched along each arithmetic progression of
     poles with step 2 (per multiplicity); the coefficient ladder must sum to
-    zero along every progression or no rational solution exists.  A
-    polynomial part is integrated by solving top coefficient first.
+    zero along every progression or no rational solution exists.  A proper
+    solution is unique, since a proper rational function of period 2 is zero.
+    A polynomial part is refused: no equation of the pipeline produces one.
     """
-    poly = RationalFn.zero
-    remaining = h.poly_part
-    while remaining:
-        deg = remaining.degree()
-        coef = remaining.leading() / Fraction(2 * (deg + 1))
-        term = RationalFn.poly({deg + 1: coef})
-        poly = poly + term
-        remaining = remaining - (term.shift(2) - term)
+    if h.poly_part:
+        raise TelescopeError(f"no proper antidifference: polynomial part {h.poly_part}")
     # fractions, grouped by (pole residue class mod 2, power)
     groups: Dict[Tuple[Fraction, int], Dict[Fraction, Coeff]] = {}
     for (q, j), c in h.fractions.items():
@@ -82,7 +77,7 @@ def antidifference(h: RationalFn) -> RationalFn:
                     )
                 fractions[(p - 2, j)] = d
             p -= 2
-    out = RationalFn(fractions) + poly
+    out = RationalFn(fractions)
     # exact verification
     if out.shift(2) - out != h:
         raise TelescopeError("antidifference verification failed")
@@ -155,10 +150,10 @@ def constraint_at_offset(u: Symbol, known: Symbol, g: int, side: str) -> Functio
 
     On the analytic side the unknown contributes at output offset g+1 (paired
     with the z part of u); on the conjugate side at offset -g-1 (paired with
-    the z part acting as a downward shift).  All known contributions at that
-    offset move to the right-hand side; each radial term of a known component
-    is matched as B(z+2m) against its partner and summed into G term by term,
-    with any unmatched remainder handled by a proper antidifference.
+    the z part acting as a downward shift).  Each radial term of a known
+    component at that offset contributes A - B to the right-hand side, and G
+    is the proper antidifference of the sum plus the normalization constant
+    described below.
     """
     _check_u(u)
     if side == ANALYTIC:
@@ -171,15 +166,7 @@ def constraint_at_offset(u: Symbol, known: Symbol, g: int, side: str) -> Functio
         # unknown terms: -(z-2g) phihat(z-g+2) + z(z-2g)/(z+2) phihat(z-g);
         # multiplying by M = -(z+2)/(z-2g) normalizes them to F(z+2) - F(z), F = z phihat(z-g)
         M = RationalFn({(Fraction(-2 * g), 1): -2 * g - 2, 0: -1})
-    # G is built from per-term shift sums, not as antidifference(rhs).  Both
-    # solve G(z+2) - G(z) = rhs, but they differ by a constant, and that
-    # constant decides which combination of constants the fresh C absorbs.
-    # _force_constants zeroes every constant in a non-integrable coefficient,
-    # which is right only under this normalization: with G = antidifference(rhs)
-    # the main theorem's C1 is forced away at L = 5 and L = 10, leaving only C0.
-    G = RationalFn.zero
-    rhs = RationalFn.zero
-    residual = RationalFn.zero
+    rhs = norm = RationalFn.zero
     for kf, phi_f in known.terms.items():
         if kf == g:
             continue
@@ -198,17 +185,17 @@ def constraint_at_offset(u: Symbol, known: Symbol, g: int, side: str) -> Functio
                     A = A + (M * (c_t * u_fn.shift(df))).scale(w)   # T_u T_f path (f first)
                     B = B + (M * (u_fn * c_t.shift(du))).scale(w)   # T_f T_u path (u first)
                 rhs = rhs + (A - B)
-                m = _find_shift(A, B)
-                if m is None:
-                    residual = residual + (A - B)
-                elif m > 0:
-                    for i in range(m):
-                        G = G + B.shift(2 * i)
-                elif m < 0:
-                    for i in range(m, 0):
-                        G = G - B.shift(2 * i)
-    if not residual.is_zero():
-        G = G + antidifference(residual)
+                if B.poly_part and (m := _find_shift(A, B)):
+                    norm = norm + B.poly_part.scale(m)
+    # norm sums m B(inf) over the pairs with A(z) = B(z + 2m).  A and B have the
+    # same value at infinity, so rhs is proper.  Such a pair's equation is also
+    # solved by the shift sum B(z) + ... + B(z + 2m - 2) (negated, over
+    # z + 2m, ..., z - 2, when m < 0), whose proper part is the proper
+    # antidifference and whose constant is m B(inf).  _force_constants zeroes
+    # every constant in a non-integrable coefficient, which is right only with
+    # this normalization: without it the main theorem's C1 is forced away at
+    # L = 5 and L = 10.
+    G = antidifference(rhs) + norm
     return FunctionalEquation(c=c, d=d, G=G, rhs=rhs, unknown_name=cname(g))
 
 
@@ -297,10 +284,14 @@ class DerivationReport:
 def _force_constants(
     phi: RadialFunction,
 ) -> Tuple[RadialFunction, List[Tuple[str, Tuple[Fraction, int]]]]:
-    """Zero out every constant appearing in a non-integrable term's coefficient."""
+    """Zero out every constant appearing in a non-integrable term's coefficient.
+
+    Terms are taken in (a, b) order, so each forced constant is reported with
+    its lowest non-integrable term, whatever order phi's terms were built in.
+    """
     forced: List[Tuple[str, Tuple[Fraction, int]]] = []
     names: set = set()
-    for key, coef in phi.non_integrable_terms().items():
+    for key, coef in sorted(phi.non_integrable_terms().items()):
         hit = coef.constant_names()
         if not hit:
             raise TelescopeError(

@@ -81,12 +81,6 @@ class RadialFunction(Terms):
             {k: c.substitute_zero(names) for k, c in self.terms.items()}
         )
 
-    def indeterminates(self) -> set:
-        out = set()
-        for c in self.terms.values():
-            out |= c.indeterminates()
-        return out
-
     # -- rendering / serialization ----------------------------------------
 
     def __str__(self):

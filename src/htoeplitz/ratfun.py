@@ -258,6 +258,7 @@ class RationalFn(Terms):
         q = Fraction(q)
         out = Coeff()
         for key, c in self.terms.items():
+            c = Coeff.coerce(c)
             if type(key) is int:
                 out = out + c.scale(q ** key)
             else:

@@ -108,6 +108,15 @@ MUTANTS = [
     Mutant("lift weight is coef, not coef * c_u", "derive.py",
            "w = coef * c_u", "w = coef",
            killer="tests/test_acceptance.py::test_criterion_3_f1"),
+    Mutant("G without its normalization constant", "derive.py",
+           "G = antidifference(rhs) + norm", "G = antidifference(rhs)",
+           killer="tests/test_derive.py::test_G_is_the_sum_of_per_term_shift_sums"),
+    Mutant("normalization constant -m B(inf), not m B(inf)", "derive.py",
+           "B.poly_part.scale(m)", "B.poly_part.scale(-m)",
+           killer="tests/test_derive.py::test_G_is_the_sum_of_per_term_shift_sums"),
+    Mutant("forced constants in insertion order", "derive.py",
+           "sorted(phi.non_integrable_terms().items())", "phi.non_integrable_terms().items()",
+           killer="tests/test_derive.py::test_force_constants_order_is_canonical"),
     # the telescoping solver
     Mutant("solve_telescoping without its G check", "derive.py",
            "if eq.G.shift(2) - eq.G != eq.rhs:", "if False:",
@@ -118,10 +127,14 @@ MUTANTS = [
     Mutant("solve_telescoping without its _satisfies guard", "derive.py",
            "if not _satisfies(eq, phi):", "if False:",
            killer="tests/test_derive.py::test_solver_rejects_corrupted_inverse"),
+    Mutant("antidifference accepts a polynomial part", "derive.py",
+           "if h.poly_part:", "if False:",
+           killer="tests/test_derive.py::test_antidifference_poly_part"),
     Mutant("antidifference without its shift check", "derive.py",
            "if out.shift(2) - out != h:", "if False:",
-           equivalent="when the ladder loop returns, each progression's partial sums d_p "
-                      "give out(z+2) - out(z) = h term by term, so the check never fires"),
+           equivalent="h has no polynomial part, and when the ladder loop returns, each "
+                      "progression's partial sums d_p give out(z+2) - out(z) = h term by "
+                      "term, so the check never fires"),
     # the printed lemma steps
     Mutant("f-4 read as induction(3)", "derive.py",
            'k = 4 if tag == "f-4" else', 'k = 3 if tag == "f-4" else',

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,8 @@ from htoeplitz import (
     u_symbol,
 )
 from htoeplitz import derive
-from htoeplitz.derive import _find_shift, _satisfies
+from htoeplitz.derive import _find_shift, _force_constants, _satisfies
+from htoeplitz.toeplitz import branch_offset, branch_z
 
 from .conftest import rational_functions, scalar_coeffs
 
@@ -44,9 +46,10 @@ def test_antidifference_single_ladder():
 
 
 def test_antidifference_poly_part():
-    h = RationalFn.poly({0: 3, 1: 4})  # 4z + 3
-    g = antidifference(h)
-    assert g.shift(2) - g == h
+    # a polynomial part has no proper antidifference, and no telescoping equation has one
+    h = RationalFn.poly({0: 3, 1: 4}) + RationalFn.fraction(1, 2) - RationalFn.fraction(1, 4)
+    with pytest.raises(TelescopeError, match="polynomial part 4"):
+        antidifference(h)
 
 
 def test_antidifference_obstruction():
@@ -177,3 +180,67 @@ def test_find_shift_reads_poles(B, m):
     else:
         assert _find_shift(B, B) == 0
         assert _find_shift(RationalFn.fraction(1, 0), B) is None
+
+
+def test_force_constants_order_is_canonical():
+    # C2 is in both coefficients: it is charged to r^-4 whichever term was inserted first
+    c1, c2 = Coeff.indet("C1"), Coeff.indet("C2")
+    terms = [((Fraction(-3), 0), c1 + c2), ((Fraction(-4), 0), c2), ((Fraction(1), 0), c1)]
+    first, second = (_force_constants(RadialFunction(dict(t))) for t in (terms, terms[::-1]))
+    assert first == second
+    assert first == (RadialFunction.zero, [("C2", (Fraction(-4), 0)), ("C1", (Fraction(-3), 0))])
+
+
+def _shift_sum_G(u, known, g, side):
+    """G built term by term: each pair with A(z) = B(z + 2m) adds the shift sum
+    B(z) + ... + B(z + 2m - 2) (negated, over z + 2m, ..., z - 2, when m < 0),
+    and the unmatched pairs add the antidifference of their A - B."""
+    if side == ANALYTIC:
+        M = RationalFn({0: 1})
+    else:
+        M = RationalFn({(Fraction(-2 * g), 1): -2 * g - 2, 0: -1})
+    G = residual = RationalFn.zero
+    for kf, phi_f in known.terms.items():
+        for j, phi_u in u.terms.items():
+            if kf == g or kf + j != g + 1:
+                continue
+            df, du = 2 * branch_offset(side, kf), 2 * branch_offset(side, j)
+            for (a, b), coef in phi_f.terms.items():
+                c_t = branch_z(side, kf, a, b)
+                A = B = RationalFn.zero
+                for (a_u, b_u), c_u in phi_u.terms.items():
+                    u_fn = branch_z(side, j, a_u, b_u)
+                    A = A + (M * (c_t * u_fn.shift(df))).scale(coef * c_u)
+                    B = B + (M * (u_fn * c_t.shift(du))).scale(coef * c_u)
+                m = _find_shift(A, B)
+                if m is None:
+                    residual = residual + (A - B)
+                for i in range(m or 0):
+                    G = G + B.shift(2 * i)
+                for i in range(m or 0, 0):
+                    G = G - B.shift(2 * i)
+    return G + antidifference(residual)
+
+
+def test_G_is_the_sum_of_per_term_shift_sums(monkeypatch):
+    """antidifference(rhs) plus m B(inf) per matched pair is the G of the shift sums,
+    at every stage of derive (L <= 3, N 2..4, K <= 3) and of verify-paper."""
+    stages = []
+    real = derive.constraint_at_offset
+
+    def record(*args):
+        eq = real(*args)
+        stages.append((args, eq.G))
+        return eq
+
+    monkeypatch.setattr(derive, "constraint_at_offset", record)
+    monkeypatch.setattr(derive, "verify_commute", lambda f, u, n_max: SimpleNamespace(commutes=True))
+    for L in range(4):
+        for N in range(2, 5):
+            for K in range(4):
+                run_pipeline(u_symbol(L), N, K)
+    for tag in derive.ALL_LEMMA_TAGS:
+        reproduce_lemma(tag)
+    assert any(G.poly_part for _, G in stages)
+    for args, G in stages:
+        assert G == _shift_sum_G(*args), args

@@ -23,6 +23,7 @@ CASES = {
     "derive-L1": ["derive", "--L", "1", "--N", "3", "--K", "4"],
     "derive-L2": ["derive", "--L", "2", "--N", "3", "--K", "4"],
     "derive-restart": ["derive", "--L", "1", "--N", "5", "--K", "4"],
+    "derive-L1-N6": ["derive", "--L", "1", "--N", "6", "--K", "0"],
     "verify-nonzero": ["verify", "--f", "z^2", "--u", "z+abar1*conj(z)", "--nmax", "8"],
     "verify-nonzero-L3": [
         "verify",

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from htoeplitz import Coeff, PoleError, RationalFn
+from htoeplitz import ANALYTIC, Coeff, PoleError, RationalFn
+from htoeplitz.toeplitz import branch_z
 
 from .conftest import bind_eval, coeffs, pole_values, quotient, rational_functions, scalar_coeffs
 
@@ -63,6 +64,8 @@ def test_evaluate_at():
     assert f.evaluate_at(0) == Coeff.const(Fraction(1, 4))
     with pytest.raises(PoleError):
         f.evaluate_at(-4)
+    # scalar-valued functions too: 1/(z+3) + 1 at z = 4
+    assert branch_z(ANALYTIC, 1, 0, 0).evaluate_at(4) == Coeff.const(Fraction(8, 7))
 
 
 def test_affine_substitute():
