@@ -117,18 +117,14 @@ def solve_telescoping(eq: FunctionalEquation) -> Tuple[str, RadialFunction]:
 
 
 def commute_with_Tz_solve(p: int) -> RadialFunction:
-    """The radial phi with [T_{e^{ip theta} phi}, T_z] = 0: phi = C r^p."""
+    """The radial phi with [T_{e^{ip theta} phi}, T_z] = 0: phi = C r^p.
+
+    This is the analytic stage of degree p for u = z with nothing known,
+    an equation with an empty right side.
+    """
     if p < 1:
         raise ValueError("degree must be >= 1")
-    eq = FunctionalEquation(
-        c=Fraction(2 * p + 2),
-        d=Fraction(p + 2),
-        G=RationalFn.zero,
-        rhs=RationalFn.zero,
-        unknown_name=cname(p),
-    )
-    _, phi = solve_telescoping(eq)
-    return phi
+    return solve_telescoping(constraint_at_offset(u_symbol(0), Symbol(), p, ANALYTIC))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -168,25 +164,23 @@ def constraint_at_offset(u: Symbol, known: Symbol, g: int, side: str) -> Functio
         M = RationalFn({(Fraction(-2 * g), 1): -2 * g - 2, 0: -1})
     rhs = norm = RationalFn.zero
     for kf, phi_f in known.terms.items():
-        if kf == g:
+        j = g + 1 - kf
+        if kf == g or j not in u.terms:
             continue
-        for j, phi_u in u.terms.items():
-            if kf + j != g + 1:
-                continue
-            # scalar branches; lifting each product by coef * c_u gives A, B as over Coeff
-            u_fns = [(branch_z(side, j, a, b), c_u) for (a, b), c_u in phi_u.terms.items()]
-            du = 2 * branch_offset(side, j)
-            df = 2 * branch_offset(side, kf)
-            for key, coef in phi_f.terms.items():
-                c_t = branch_z(side, kf, *key)
-                A = B = RationalFn.zero
-                for u_fn, c_u in u_fns:
-                    w = coef * c_u
-                    A = A + (M * (c_t * u_fn.shift(df))).scale(w)   # T_u T_f path (f first)
-                    B = B + (M * (u_fn * c_t.shift(du))).scale(w)   # T_f T_u path (u first)
-                rhs = rhs + (A - B)
-                if B.poly_part and (m := _find_shift(A, B)):
-                    norm = norm + B.poly_part.scale(m)
+        # scalar branches; lifting each product by coef * c_u gives A, B as over Coeff
+        u_fns = [(branch_z(side, j, a, b), c_u) for (a, b), c_u in u.terms[j].terms.items()]
+        du = 2 * branch_offset(side, j)
+        df = 2 * branch_offset(side, kf)
+        for key, coef in phi_f.terms.items():
+            c_t = branch_z(side, kf, *key)
+            A = B = RationalFn.zero
+            for u_fn, c_u in u_fns:
+                w = coef * c_u
+                A = A + (M * (c_t * u_fn.shift(df))).scale(w)   # T_u T_f path (f first)
+                B = B + (M * (u_fn * c_t.shift(du))).scale(w)   # T_f T_u path (u first)
+            rhs = rhs + (A - B)
+            if B.poly_part and (m := _find_shift(A, B)):
+                norm = norm + B.poly_part.scale(m)
     # norm sums m B(inf) over the pairs with A(z) = B(z + 2m).  A and B have the
     # same value at infinity, so rhs is proper.  Such a pair's equation is also
     # solved by the shift sum B(z) + ... + B(z + 2m - 2) (negated, over
@@ -309,69 +303,55 @@ def _force_constants(
 def run_pipeline(u: Symbol, N_start: int, K_max: int, n_max: int = 20) -> DerivationReport:
     """Derive every component of a truncated-above commutant of T_u.
 
-    Top two degrees come from commutation with T_z alone; the next degree is
-    the step whose integrability filter bounds the top degree (restarting one
-    degree lower whenever the top constant is forced to zero); remaining
-    degrees down to -2 use the analytic-side equation and degrees -3 and
-    below the conjugate-side equation.  The assembled symbol is verified to
-    commute on the whole basis before reporting.
+    One telescoping stage per degree g, from the top degree N down to
+    min(-2, -K_max): the analytic-side equation for g >= -2 and the
+    conjugate-side one below.  The top two stages (labelled "Tz-solve")
+    have an empty right side, so they give C_N r^N and C_{N-1} r^{N-1},
+    commutation with T_z alone.  Stage N-2 bounds the top degree: when it
+    forces C_N to zero, the derivation restarts one degree lower.  The
+    assembled symbol is verified to commute on the whole basis before
+    reporting.
     """
     _check_u(u)
     if N_start < 2:
         raise ValueError("N_start must be >= 2")
     stages: List[StageRecord] = []
-    forced_ledger: Dict[str, Tuple[int, Tuple[Fraction, int]]] = {}
-    introduced: Dict[str, None] = {}     # ordered set of constant names
     notes: List[str] = []
     comps: Dict[int, RadialFunction] = {}
-
-    def run_stage(g: int, side: str) -> StageRecord:
-        eq = constraint_at_offset(u, Symbol(comps), g, side)
-        name, phi = solve_telescoping(eq)
-        introduced[name] = None
-        rec = StageRecord(g, side, name, phi, integrable=phi.is_integrable())
+    N_eff = g = N_start
+    while g >= min(-2, -K_max):
+        side = ANALYTIC if g >= -2 else CONJUGATE
+        name, phi = solve_telescoping(constraint_at_offset(u, Symbol(comps), g, side))
+        rec = StageRecord(g, "Tz-solve" if g >= N_eff - 1 else side, name, phi,
+                          integrable=phi.is_integrable())
         stages.append(rec)
         if not rec.integrable:
             phi, rec.forced = _force_constants(phi)
             names = [n for n, _ in rec.forced]
-            for n, key in rec.forced:
-                forced_ledger.setdefault(n, (g, key))
             for k in list(comps):
                 comps[k] = comps[k].substitute_zero(names)
                 if comps[k].is_zero():
                     del comps[k]
+        if g == N_eff - 2 and any(n == cname(N_eff) for n, _ in rec.forced):
+            rec.restarted = True
+            notes.append(
+                f"top degree {N_eff} rejected: derived component of degree {g} "
+                f"has a non-integrable term; restarting at {N_eff - 1}"
+            )
+            N_eff = g = N_eff - 1
+            comps.clear()
+            continue
         if not phi.is_zero():
             comps[g] = phi
-        return rec
+        g -= 1
 
-    N_eff = N_start
-    while True:
-        comps.clear()
-        # top two degrees from commutation with T_z
-        for g in (N_eff, N_eff - 1):
-            if g >= 1:
-                comps[g] = commute_with_Tz_solve(g)
-                introduced[cname(g)] = None
-                stages.append(StageRecord(g, "Tz-solve", cname(g), comps[g]))
-        # degree N-2 bounds the top degree: restart lower if it forces C_N
-        rec = run_stage(N_eff - 2, ANALYTIC)
-        if all(n != cname(N_eff) for n, _ in rec.forced):
-            break
-        rec.restarted = True
-        notes.append(
-            f"top degree {N_eff} rejected: derived component of degree {N_eff - 2} "
-            f"has a non-integrable term; restarting at {N_eff - 1}"
-        )
-        N_eff -= 1
-
-    for g in range(N_eff - 3, -3, -1):
-        run_stage(g, ANALYTIC)
-    for g in range(-3, -K_max - 1, -1):
-        run_stage(g, CONJUGATE)
-
+    forced: Dict[str, Tuple[int, Tuple[Fraction, int]]] = {}
+    for s in stages:
+        for n, key in s.forced:
+            forced.setdefault(n, (s.degree, key))
+    survivors = [n for n in dict.fromkeys(s.introduced for s in stages) if n not in forced]
     f = Symbol(comps)
     report = verify_commute(f, u, n_max)
-    survivors = [n for n in introduced if n not in forced_ledger]
     top = max(comps) if comps else 0
     if top < N_eff:
         notes.append(
@@ -386,7 +366,7 @@ def run_pipeline(u: Symbol, N_start: int, K_max: int, n_max: int = 20) -> Deriva
         components=comps,
         final_symbol=f,
         survivors=survivors,
-        forced=forced_ledger,
+        forced=forced,
         commutes=report.commutes,
         verification=report,
         notes=notes,

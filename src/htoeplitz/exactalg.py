@@ -94,15 +94,18 @@ class GaussianRational:
         return -self + other
 
     def __mul__(self, other):
-        other = GaussianRational.coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, GaussianRational):
+            c, d = other.re, other.im
+        elif isinstance(other, (int, Fraction)):   # a real scalar needs no wrapper
+            c, d = other, 0
+        else:
             return NotImplemented
-        if not self.im and not other.im:   # real * real: one Fraction product
-            return GaussianRational(self.re * other.re, _FRACTION_ZERO)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b = self.re, self.im
+        if not d:   # times a real: two Fraction products, one when both are real
+            return GaussianRational(a * c, b * c if b else _FRACTION_ZERO)
+        if not b:
+            return GaussianRational(a * c, a * d)
+        return GaussianRational(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 

@@ -169,8 +169,7 @@ class RationalFn(Terms):
     @property
     def num(self) -> "RationalFn":
         """The numerator polynomial over ``den``; it shares no factor (z+q) with it."""
-        den = self.den
-        return (self * _den_poly(den)).poly_part if den else self
+        return (self * _den_poly(self.den)).poly_part
 
     # -- algebra -----------------------------------------------------------
 

@@ -117,6 +117,22 @@ MUTANTS = [
     Mutant("forced constants in insertion order", "derive.py",
            "sorted(phi.non_integrable_terms().items())", "phi.non_integrable_terms().items()",
            killer="tests/test_derive.py::test_force_constants_order_is_canonical"),
+    Mutant("known component paired with u at degree g - k_f", "derive.py",
+           "j = g + 1 - kf", "j = g - kf",
+           killer="tests/test_golden_reports.py::test_golden_report[derive-L1]"),
+    # the stage loop (derive.run_pipeline)
+    Mutant("analytic side stops at degree -1", "derive.py",
+           "ANALYTIC if g >= -2 else CONJUGATE", "ANALYTIC if g >= -1 else CONJUGATE",
+           killer="tests/test_golden_reports.py::test_golden_report[derive-L1]"),
+    Mutant("stage loop ends at -K_max, not min(-2, -K_max)", "derive.py",
+           "while g >= min(-2, -K_max):", "while g >= -K_max:",
+           killer="tests/test_golden_reports.py::test_golden_report[derive-L1-N6]"),
+    Mutant("restart checked at stage N - 3", "derive.py",
+           "if g == N_eff - 2 and", "if g == N_eff - 3 and",
+           killer="tests/test_golden_reports.py::test_golden_report[derive-L1-N6]"),
+    Mutant("Tz-solve label on the top stage only", "derive.py",
+           '"Tz-solve" if g >= N_eff - 1 else', '"Tz-solve" if g >= N_eff else',
+           killer="tests/test_golden_reports.py::test_golden_report[derive-L1]"),
     # the telescoping solver
     Mutant("solve_telescoping without its G check", "derive.py",
            "if eq.G.shift(2) - eq.G != eq.rhs:", "if False:",

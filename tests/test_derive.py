@@ -9,8 +9,10 @@ from htoeplitz import (
     ANALYTIC,
     Coeff,
     FunctionalEquation,
+    GaussianRational,
     RadialFunction,
     RationalFn,
+    Symbol,
     TelescopeError,
     antidifference,
     commute_with_Tz_solve,
@@ -118,12 +120,36 @@ def test_commute_with_Tz():
 
 def test_constraint_stage_solves_top_component():
     # the degree-1 unknown of f against u with L=1 comes out as C1 r
-    from htoeplitz import Symbol
-
     u = u_symbol(1)
     eq = constraint_at_offset(u, Symbol(), 1, ANALYTIC)
     name, phi = solve_telescoping(eq)
     assert phi == RadialFunction.term(Coeff.indet(name), 1)
+
+
+@st.composite
+def coanalytic_us(draw):
+    """z plus radial parts at degrees -1..-3, which _check_u accepts."""
+    comps = {1: RadialFunction.term(1, 1)}
+    for l in draw(st.sets(st.integers(1, 3))):
+        terms = draw(st.lists(st.tuples(
+            scalar_coeffs(nonzero=True),
+            st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]),
+            st.integers(0, 1)), min_size=1, max_size=2))
+        phi = sum((RadialFunction.term(c, l + e, b) for c, e, b in terms), RadialFunction.zero)
+        if not phi.is_zero():
+            comps[-l] = phi
+    return Symbol(comps)
+
+
+@given(coanalytic_us(), st.integers(2, 6))
+@settings(deadline=None, max_examples=30)
+def test_top_two_stages_are_commutation_with_Tz(u, N):
+    # stage N has nothing known, and stage N-1 would pair C_N r^N with a degree-0 part of u,
+    # which u has none of: both right sides are empty
+    stages = run_pipeline(u, N, 0).stages
+    for rec, p in zip(stages[:2], (N, N - 1)):
+        assert rec.method == "Tz-solve"
+        assert rec.solved == RadialFunction.term(Coeff.indet(f"C{p}"), p)
 
 
 def test_pipeline_small():
@@ -138,6 +164,22 @@ def test_pipeline_restart_from_above():
     assert report.N_effective == 3
     assert "C4" in report.forced
     assert any(s.restarted for s in report.stages)
+    assert report.commutes
+
+
+def test_restart_to_top_degree_one_solves_degree_zero():
+    # stage 0 forces C2 here, so the derivation restarts at N = 1; degree 0 is then
+    # the second top stage, and the surviving C0 is a component of the symbol
+    u = Symbol({
+        1: RadialFunction.term(1, 1),
+        -1: RadialFunction.term(GaussianRational(Fraction(3, 2), -1), Fraction(3, 2))
+        + RadialFunction.term(GaussianRational(Fraction(-2, 3), 2), -1, 1),
+    })
+    report = run_pipeline(u, 2, 3)
+    assert report.N_effective == 1
+    assert [(s.degree, s.method) for s in report.stages[3:5]] == [(1, "Tz-solve"), (0, "Tz-solve")]
+    assert report.survivors == ["C1", "C0"]
+    assert report.components[0] == RadialFunction.term(Coeff.indet("C0"), 0)
     assert report.commutes
 
 

@@ -181,6 +181,18 @@ def test_gaussian_add_mul_match_four_product_formula(kinds, data):
         assert type(got.re) is Fraction and type(got.im) is Fraction
 
 
+@given(_real_or_complex(True), fractions(), st.sampled_from([Fraction, int, GaussianRational]))
+def test_gaussian_times_real_matches_four_product_formula(z, x, kind):
+    # a complex times a real takes two products; the result is the general formula's
+    if kind is int:
+        x = Fraction(x.numerator)
+    r = kind(x)
+    re, im = z.re * x - z.im * 0, z.re * 0 + z.im * x
+    for got in (z * r, r * z):
+        assert (got.re, got.im) == (re, im)
+        assert type(got.re) is Fraction and type(got.im) is Fraction
+
+
 def test_gaussian_parts_are_fractions():
     x = Fraction(3, 4)
     g = GaussianRational(x, 2)

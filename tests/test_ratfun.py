@@ -32,6 +32,15 @@ def test_pole_cancellation():
     assert g == RationalFn.linear(4)
 
 
+def test_pole_free_scalar_function_renders():
+    # a scalar-valued function with no poles renders and serializes as its Coeff lift does
+    f = branch_z(ANALYTIC, 1, 1, 0)
+    assert f.den == {}
+    lifted = f.scale(Coeff.const(1))
+    assert str(f) == str(lifted) == "1"
+    assert f.to_json() == lifted.to_json()
+
+
 def test_fraction_constructor():
     f = RationalFn.fraction(1, 4, 2)
     assert f.render() == "1/(z+4)^2"
