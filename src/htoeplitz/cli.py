@@ -299,8 +299,14 @@ def _inputs_echo(args) -> dict:
 
 
 def _guard_leading_minus(argv):
-    """Insert '--' so expressions like '-1/(z+4)^2' are not read as flags."""
-    out = list(argv)
+    """Keep expressions like '-1/(z+4)^2' from being read as flags: glue one
+    to its --f or --u ('--f=-z'), or insert '--' before a positional one."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--f", "--u") and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
     for i, tok in enumerate(out):
         if tok in ("mellin", "invmellin") and "--" not in out:
             rest = out[i + 1:]

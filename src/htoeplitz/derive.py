@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exactalg import C as C_, Coeff, abar as abar_, cname
+from .exactalg import ONE, C as C_, Coeff, Terms, abar as abar_, cname
 from .mellin import MellinInversionError, inverse_mellin, mellin
 from .radial import RadialFunction
 from .ratfun import RationalFn
@@ -25,6 +25,8 @@ from .toeplitz import (
     ANALYTIC,
     CONJUGATE,
     Symbol,
+    _compose,
+    _generic_pieces,
     branch_offset,
     branch_z,
     u_symbol,
@@ -147,9 +149,10 @@ def constraint_at_offset(u: Symbol, known: Symbol, g: int, side: str) -> Functio
     On the analytic side the unknown contributes at output offset g+1 (paired
     with the z part of u); on the conjugate side at offset -g-1 (paired with
     the z part acting as a downward shift).  Each radial term of a known
-    component at that offset contributes A - B to the right-hand side, and G
-    is the proper antidifference of the sum plus the normalization constant
-    described below.
+    component, composed with u in both orders by ``toeplitz._compose`` and
+    times M, gives A and B at that offset and adds A - B to the right-hand
+    side; G is the proper antidifference of the sum plus the normalization
+    constant described below.
     """
     _check_u(u)
     if side == ANALYTIC:
@@ -163,21 +166,19 @@ def constraint_at_offset(u: Symbol, known: Symbol, g: int, side: str) -> Functio
         # multiplying by M = -(z+2)/(z-2g) normalizes them to F(z+2) - F(z), F = z phihat(z-g)
         M = RationalFn({(Fraction(-2 * g), 1): -2 * g - 2, 0: -1})
     rhs = norm = RationalFn.zero
+    offset = branch_offset(side, g + 1)
     for kf, phi_f in known.terms.items():
         j = g + 1 - kf
         if kf == g or j not in u.terms:
             continue
-        # scalar branches; lifting each product by coef * c_u gives A, B as over Coeff
-        u_fns = [(branch_z(side, j, a, b), c_u) for (a, b), c_u in u.terms[j].terms.items()]
-        du = 2 * branch_offset(side, j)
-        df = 2 * branch_offset(side, kf)
+        us = _generic_pieces(Symbol({j: u.terms[j]}), side)
         for key, coef in phi_f.terms.items():
-            c_t = branch_z(side, kf, *key)
-            A = B = RationalFn.zero
-            for u_fn, c_u in u_fns:
-                w = coef * c_u
-                A = A + (M * (c_t * u_fn.shift(df))).scale(w)   # T_u T_f path (f first)
-                B = B + (M * (u_fn * c_t.shift(du))).scale(w)   # T_f T_u path (u first)
+            ft = [((), branch_offset(side, kf), branch_z(side, kf, *key))]
+            lift = {mu: coef * Coeff({mu: ONE}) for mu, _, _ in us}
+            # A: T_u after T_f, B: T_f after T_u, each entry times M, lifted by coef * mu_u
+            A, B = (sum(((M * fn).scale(lift[mu])
+                         for mu, fn in _compose(x, y).get(offset, Terms()).terms.items()),
+                        RationalFn.zero) for x, y in ((us, ft), (ft, us)))
             rhs = rhs + (A - B)
             if B.poly_part and (m := _find_shift(A, B)):
                 norm = norm + B.poly_part.scale(m)

@@ -6,8 +6,8 @@ multivariate polynomial over Gaussian rationals in the formal indeterminates
 ``abar<l>`` (the conjugated Taylor coefficients of the co-analytic symbol
 part, l >= 1).  Values are immutable and all arithmetic is exact.
 ``Terms`` is the sparse sum that ``Coeff`` and the radial, vector, symbol
-and rational-function types share, with the one product loop
-``Terms._product``; a polynomial is a rational function with no fractions.
+and rational-function types share, and ``Terms._product`` the product of
+the first three; a polynomial is a rational function with no fractions.
 """
 
 from __future__ import annotations
@@ -179,10 +179,10 @@ class Terms:
 
     The one immutable sparse-sum type: ``Coeff``, ``RadialFunction``,
     ``HarmonicVector``, ``Symbol`` and ``RationalFn`` subclass it
-    and share its addition, negation, equality and hash, and every product
-    of two sums runs through ``_product``.  Falsy (zero) values are dropped
-    on construction, so equal sums have equal maps.  ``coerce`` reads an
-    operand as a value of the subclass, or gives NotImplemented.
+    and share its addition, negation, equality and hash; ``_product`` is the
+    product of ``Coeff``, ``RadialFunction`` and ``Symbol``.  Falsy (zero)
+    values are dropped on construction, so equal sums have equal maps.
+    ``coerce`` reads an operand as a value of the subclass, or gives NotImplemented.
     """
 
     __slots__ = ("terms",)

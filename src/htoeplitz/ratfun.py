@@ -51,10 +51,6 @@ def _split(out: dict, c, p: Fraction, a: int, q: Fraction, b: int) -> None:
             _acc(out, (x, m - i), c * s)
 
 
-def _pair(a, b):
-    return a, b
-
-
 def _add_term_product(out: dict, a, b, c) -> None:
     """Add c times the product of the terms keyed a and b to the term map out.
 
@@ -183,8 +179,9 @@ class RationalFn(Terms):
         if other is NotImplemented:
             return NotImplemented
         out: dict = {}
-        for (a, b), c in self._product(other, _pair).items():
-            _add_term_product(out, a, b, c)
+        for a, ca in self.terms.items():
+            for b, cb in other.terms.items():
+                _add_term_product(out, a, b, ca * cb)
         return RationalFn(out)
 
     __rmul__ = __mul__

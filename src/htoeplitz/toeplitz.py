@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from math import factorial
 from typing import Dict
 
-from .exactalg import Coeff, GaussianRational, Rat, Terms, _mono_mul, aname, render_sum, render_term
+from .exactalg import (ONE, Coeff, GaussianRational, Rat, Terms, _mono_mul, aname, render_sum,
+                       render_term)
 from .mellin import mellin_term
 from .radial import RadialFunction
 from .ratfun import RationalFn, _acc
@@ -226,35 +227,34 @@ def branch_z(side: str, k: int, a: Rat, b: int) -> RationalFn:
 
 def _generic_pieces(sym: Symbol, side: str) -> list:
     """(mu, d, F) for every piece of sym: above threshold it takes index n on
-    `side` to n + d with coefficient mu F(n), F scalar-valued in n."""
+    `side` to n + d with coefficient mu F(2n), F scalar-valued in z = 2n."""
     return [(mono, branch_offset(side, k),
-             sum((branch_z(side, k, a, b).scale(c) for a, b, c in F.terms),
-                 RationalFn.zero).affine_substitute(2, 0))
+             sum((branch_z(side, k, a, b).scale(c) for a, b, c in F.terms), RationalFn.zero))
             for mono, k, F in _pieces(sym)]
 
 
 def _compose(a: list, b: list) -> dict:
-    """(a after b) on one side, offset -> Terms map monomial -> scalar RationalFn,
-    offsets in first-use order: each pair puts mu_a mu_b B(n) A(n+d_b) at d_a+d_b."""
+    """The one branch composition, (a after b) on one side: offset -> Terms map
+    monomial -> scalar RationalFn in z = 2n, offsets in first-use order; each
+    pair puts mu_a mu_b B(z) A(z+2d_b) at d_a+d_b."""
     out: dict = {}
     for mb, db, B in b:
         for ma, da, A in a:
-            _acc(out.setdefault(da + db, {}), _mono_mul(ma, mb), B * A.shift(db))
+            _acc(out.setdefault(da + db, {}), _mono_mul(ma, mb), B * A.shift(2 * db))
     return {d: t for d, e in out.items() if (t := Terms(e))}
 
 
 def generic_residual(f: Symbol, u: Symbol, side: str) -> Terms:
     """Generic entries of T_f T_u - T_u T_f on one input side: each piece pair,
     x of f and y of u, adds mu_f mu_u [U_y(n) F_x(n+d_y) - F_x(n) U_y(n+d_x)] at
-    offset d_x + d_y, summed over scalars; only a nonzero entry gets Coeff values."""
+    offset d_x + d_y, over scalars in z = 2n; a nonzero entry alone is lifted to Coeffs and n."""
     fs, us = _generic_pieces(f, side), _generic_pieces(u, side)
     fu, uf = _compose(fs, us), _compose(us, fs)   # T_f after T_u, T_u after T_f
     out = {}
     for d in set(fu) | set(uf):   # set order: the order in which generic_nonzero lists them
         diff = fu.get(d, Terms()) - uf.get(d, Terms())
-        out[d] = sum((fn.scale(Coeff({mu: GaussianRational(1)})) for mu, fn in diff.terms.items()),
-                     RationalFn.zero)
-    return Terms(out)
+        out[d] = sum((fn.scale(Coeff({mu: ONE})) for mu, fn in diff.terms.items()), RationalFn.zero)
+    return Terms({d: fn.affine_substitute(2, 0) for d, fn in out.items() if fn})
 
 
 @dataclass

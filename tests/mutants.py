@@ -67,12 +67,18 @@ MUTANTS = [
     Mutant("unit branch has factor 2d+1", "toeplitz.py",
            "c * (2 * d + 2 - q)", "c * (2 * d + 1 - q)",
            killer="tests/test_acceptance.py::test_criterion_3_f1"),
-    Mutant("generic pair reads F at n+d_x, not n+d_y", "toeplitz.py",
-           "B * A.shift(db)", "B * A.shift(da)",
+    Mutant("generic pair reads F at z+2d_x, not z+2d_y", "toeplitz.py",
+           "B * A.shift(2 * db)", "B * A.shift(2 * da)",
+           killer="tests/test_acceptance.py::test_criterion_9_main_theorem"),
+    Mutant("generic pair shifts z by d_y, not 2d_y", "toeplitz.py",
+           "B * A.shift(2 * db)", "B * A.shift(db)",
            killer="tests/test_acceptance.py::test_criterion_9_main_theorem"),
     Mutant("generic lift uses mu_f, not mu_f mu_u", "toeplitz.py",
            "_mono_mul(ma, mb), B", "ma, B",
            killer="tests/test_acceptance.py::test_criterion_9_main_theorem"),
+    Mutant("generic residual left in z = 2n, not mapped to n", "toeplitz.py",
+           "fn.affine_substitute(2, 0) for d", "fn for d",
+           killer="tests/test_toeplitz.py::test_compose_generic_consistency"),
     # the symbol u = z + sum abar_l zbar^l
     Mutant("u_symbol without its abar factor", "toeplitz.py",
            "RadialFunction.term(Coeff.indet(aname(l)), l)", "RadialFunction.term(1, l)",
@@ -105,8 +111,14 @@ MUTANTS = [
     Mutant("M has the sign of its fraction flipped", "derive.py",
            "1): -2 * g - 2, 0: -1}", "1): 2 * g + 2, 0: -1}",
            killer="tests/test_acceptance.py::test_criterion_8_conjugate_chain"),
-    Mutant("lift weight is coef, not coef * c_u", "derive.py",
-           "w = coef * c_u", "w = coef",
+    Mutant("stage entries read at offset g, not g + 1", "derive.py",
+           "offset = branch_offset(side, g + 1)", "offset = branch_offset(side, g)",
+           killer="tests/test_acceptance.py::test_criterion_3_f1"),
+    Mutant("A and B swapped", "derive.py",
+           "for x, y in ((us, ft), (ft, us))", "for x, y in ((ft, us), (us, ft))",
+           killer="tests/test_acceptance.py::test_criterion_3_f1"),
+    Mutant("stage lift without the u monomial", "derive.py",
+           "coef * Coeff({mu: ONE})", "coef",
            killer="tests/test_acceptance.py::test_criterion_3_f1"),
     Mutant("G without its normalization constant", "derive.py",
            "G = antidifference(rhs) + norm", "G = antidifference(rhs)",

@@ -97,6 +97,19 @@ def test_apply_renders_negative_radial_part_with_minus(capsys):
     assert report["result"]["f"] == "e(1)*(r) - 1"
 
 
+@pytest.mark.parametrize("argv", [
+    ("apply", "--f", "-z", "--v", "z"),
+    ("commutator", "--f", "-z^2", "--u", "-z - abar1*conj(z)", "--v", "z"),
+    ("verify", "--f", "-C1*z-C0", "--u", "-z", "--nmax", "4"),
+])
+def test_expression_with_leading_minus_is_an_option_value(capsys, argv):
+    # '--f -z' reads -z as the value of --f, exactly as '--f=-z' does
+    glued = [argv[0]] + [f"{a}={b}" for a, b in zip(argv[1::2], argv[2::2])]
+    code, report = run_json(capsys, *argv)
+    assert (code, report) == run_json(capsys, *glued)
+    assert report["inputs"]["f"] == argv[2]
+
+
 def test_commutator_nonzero_exits_1(capsys):
     code, report = run_json(
         capsys, "commutator", "--f", "z^2", "--u", "z + abar1*conj(z)", "--v", "z"

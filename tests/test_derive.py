@@ -25,7 +25,7 @@ from htoeplitz import (
 )
 from htoeplitz import derive
 from htoeplitz.derive import _find_shift, _force_constants, _satisfies
-from htoeplitz.toeplitz import branch_offset, branch_z
+from htoeplitz.toeplitz import branch_offset, branch_z, generic_residual
 
 from .conftest import rational_functions, scalar_coeffs
 
@@ -233,14 +233,18 @@ def test_force_constants_order_is_canonical():
     assert first == (RadialFunction.zero, [("C2", (Fraction(-4), 0)), ("C1", (Fraction(-3), 0))])
 
 
+def _M(g, side):
+    """The factor that normalizes a stage's unknown terms to F(z+2) - F(z)."""
+    if side == ANALYTIC:
+        return RationalFn({0: 1})
+    return RationalFn({(Fraction(-2 * g), 1): -2 * g - 2, 0: -1})
+
+
 def _shift_sum_G(u, known, g, side):
     """G built term by term: each pair with A(z) = B(z + 2m) adds the shift sum
     B(z) + ... + B(z + 2m - 2) (negated, over z + 2m, ..., z - 2, when m < 0),
     and the unmatched pairs add the antidifference of their A - B."""
-    if side == ANALYTIC:
-        M = RationalFn({0: 1})
-    else:
-        M = RationalFn({(Fraction(-2 * g), 1): -2 * g - 2, 0: -1})
+    M = _M(g, side)
     G = residual = RationalFn.zero
     for kf, phi_f in known.terms.items():
         for j, phi_u in u.terms.items():
@@ -264,25 +268,46 @@ def _shift_sum_G(u, known, g, side):
     return G + antidifference(residual)
 
 
-def test_G_is_the_sum_of_per_term_shift_sums(monkeypatch):
-    """antidifference(rhs) plus m B(inf) per matched pair is the G of the shift sums,
-    at every stage of derive (L <= 3, N 2..4, K <= 3) and of verify-paper."""
+def _record_stages(monkeypatch):
+    """The list that collects (args, equation) of every constraint_at_offset
+    call from here on; the final verify_commute of run_pipeline is skipped."""
     stages = []
     real = derive.constraint_at_offset
 
     def record(*args):
         eq = real(*args)
-        stages.append((args, eq.G))
+        stages.append((args, eq))
         return eq
 
     monkeypatch.setattr(derive, "constraint_at_offset", record)
     monkeypatch.setattr(derive, "verify_commute", lambda f, u, n_max: SimpleNamespace(commutes=True))
+    return stages
+
+
+def test_G_is_the_sum_of_per_term_shift_sums(monkeypatch):
+    """antidifference(rhs) plus m B(inf) per matched pair is the G of the shift sums,
+    at every stage of derive (L <= 3, N 2..4, K <= 3) and of verify-paper."""
+    stages = _record_stages(monkeypatch)
     for L in range(4):
         for N in range(2, 5):
             for K in range(4):
                 run_pipeline(u_symbol(L), N, K)
     for tag in derive.ALL_LEMMA_TAGS:
         reproduce_lemma(tag)
-    assert any(G.poly_part for _, G in stages)
-    for args, G in stages:
-        assert G == _shift_sum_G(*args), args
+    assert any(eq.G.poly_part for _, eq in stages)
+    for args, eq in stages:
+        assert eq.G == _shift_sum_G(*args), args
+
+
+def test_stage_rhs_is_minus_M_times_the_generic_residual(monkeypatch):
+    """Every stage's rhs is -M(z) R(z/2), where R(n) is the generic entry of
+    [T_known, T_u] at offset branch_offset(side, g + 1), or 0 where there is
+    none (derive at L 0..3, N 2..4, K = L + 2)."""
+    stages = _record_stages(monkeypatch)
+    for L in range(4):
+        for N in range(2, 5):
+            run_pipeline(u_symbol(L), N, L + 2)
+    assert any(eq.rhs for _, eq in stages)
+    for (u, known, g, side), eq in stages:
+        R = generic_residual(known, u, side).terms.get(branch_offset(side, g + 1), RationalFn.zero)
+        assert eq.rhs == -(_M(g, side) * R.affine_substitute(Fraction(1, 2), 0)), (g, side)

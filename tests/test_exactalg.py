@@ -153,8 +153,7 @@ _RINGS = {
 @pytest.mark.parametrize("case", list(_RINGS))
 @given(coeffs(), coeffs())
 def test_product_laws(case, c1, c2):
-    # every product of two sums runs through Terms._product; a and b share two
-    # keys, so their product sums two terms at one key
+    # a and b share two keys, so their product sums two terms at one key
     cls, const, x = _RINGS[case]
     a, b, c = const(c1) + x + const(1), const(c2) + x + const(2), const(c1 * c2) - x
     assert a * (b + c) == a * b + a * c

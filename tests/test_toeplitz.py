@@ -8,6 +8,7 @@ from htoeplitz import (
     ANALYTIC,
     CONJUGATE,
     Coeff,
+    GaussianRational,
     HarmonicVector,
     NonIntegrableSymbolError,
     PoleError,
@@ -25,6 +26,7 @@ from htoeplitz import (
     verify_commute,
 )
 from htoeplitz import toeplitz
+from htoeplitz.exactalg import Terms
 from htoeplitz.toeplitz import basis_order, branch_offset, branch_z, generic_residual
 
 from .conftest import coeffs, monomial_z, radial_functions
@@ -222,6 +224,29 @@ def test_generic_residual_matches_concrete(comps, L):
         for n in range(n_star, n_star + 6):
             expect = HarmonicVector({index(n + d): fn.evaluate_at(n) for d, fn in entries.items()})
             assert commutator_residual(f, u, index(n)) == expect
+
+
+@given(st.sampled_from([ANALYTIC, CONJUGATE]), st.integers(-4, 4), st.integers(-1, 5),
+       st.integers(0, 2), st.integers(-4, 4), st.integers(-1, 5), st.integers(0, 2), coeffs())
+@settings(deadline=None, max_examples=80)
+def test_compose_of_one_term_pieces_matches_hand_formulas(side, kf, a, b, j, a_u, b_u, c_u):
+    """_compose of the piece of e^{ik_f theta} r^a (ln r)^b and that of one u
+    term c_u e^{ij theta} r^a_u (ln r)^b_u, lifted, is c_u A for T_u after T_f
+    and c_u B for T_f after T_u, in z = 2n at offset d_f + d_u, where
+    A = c_t(z) u_fn(z + 2d_f) and B = u_fn(z) c_t(z + 2d_u)."""
+    d_f, d_u = branch_offset(side, kf), branch_offset(side, j)
+    c_t, u_fn = branch_z(side, kf, a, b), branch_z(side, j, a_u, b_u)
+    ft = [((), d_f, c_t)]
+    us = toeplitz._generic_pieces(Symbol({j: RadialFunction.term(c_u, a_u, b_u)}), side)
+
+    def lifted(x, y):
+        entries = toeplitz._compose(x, y)
+        assert set(entries) <= {d_f + d_u}
+        return sum((fn.scale(Coeff({mu: GaussianRational(1)}))
+                    for mu, fn in entries.get(d_f + d_u, Terms()).terms.items()), RationalFn.zero)
+
+    assert lifted(us, ft) == (c_t * u_fn.shift(2 * d_f)).scale(c_u)
+    assert lifted(ft, us) == (u_fn * c_t.shift(2 * d_u)).scale(c_u)
 
 
 def test_compose_generic_consistency():
