@@ -30,10 +30,14 @@ def mellin(p: RadialFunction) -> RationalFn:
 
 
 def mellin_term(a: Fraction, b: int, s: Rat) -> Fraction:
-    """(-1)^b b! / (s+a)^{b+1}, the transform of r^a (ln r)^b at s; PoleError at s = -a."""
-    if s + a == 0:
+    """(-1)^b b! / (s+a)^{b+1}, the transform of r^a (ln r)^b at s; PoleError at s = -a.
+
+    With s + a = p/q in lowest terms the value is (-1)^b b! q^{b+1} / p^{b+1},
+    built as one Fraction."""
+    d = s + a
+    if not d:
         raise PoleError(-a)
-    return Fraction((-1) ** b * math.factorial(b)) / (s + a) ** (b + 1)
+    return Fraction((-1) ** b * math.factorial(b) * d.denominator ** (b + 1), d.numerator ** (b + 1))
 
 
 def inverse_mellin(a: RationalFn) -> RadialFunction:

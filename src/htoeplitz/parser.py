@@ -3,16 +3,21 @@
 Symbol grammar::
 
     expr   := term (('+'|'-') term)*
-    term   := factor ('*' factor)*
-    factor := int | indet | 'z' ['^' int] | 'conj(z)' ['^' int]
-            | 'e(' int ')' | 'r' ['^' rat] | 'ln(r)' | '(' expr ')'
+    term   := power ('*' power)*
+    power  := atom ['^' rat]
+    atom   := number | 'i' | indet | '(' expr ')'
+            | 'z' | 'conj(z)' | 'e(' int ')' | 'r' | 'ln(r)'
 
-``e(k)`` is the angular factor of degree k; ``z^n`` desugars to
-``e(n)*r^n`` and ``conj(z)^n`` to ``e(-n)*r^n``.  Indeterminates are
-written ``C3``, ``Cm1`` (negative index), ``abar2``.  The rational-function
-grammar replaces the radial vocabulary with the single variable ``z`` and
-adds ``/``.  The parsers hold no arithmetic of their own: ``+``, ``-`` and
-``*`` are those of ``Symbol`` and ``RationalFn``.
+A power x^n with an integer n >= 0 is the product of n factors x, and x^0
+is one; only ``r`` takes a negative or fractional power, so ``r^3/2`` is
+r^(3/2).  A digit glued to ``z`` or ``r`` is its exponent: ``z3`` is z^3.
+``e(k)`` is the angular factor of degree k, so ``z`` is ``e(1)*r`` and
+``conj(z)`` is ``e(-1)*r``.  Indeterminates are written ``C3``, ``Cm1``
+(negative index), ``abar2``.  The rational-function grammar has the same
+rules over the single word ``z``; it adds ``/`` to ``term``, and its
+exponent is an integer, a negative one taken by division.  The parsers hold
+no arithmetic of their own: ``+``, ``-``, ``*`` and ``/`` are those of
+``Symbol`` and ``RationalFn``.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .exactalg import Coeff, GaussianRational, indet_key
+from .exactalg import Coeff, GaussianRational
 from .radial import RadialFunction
 from .ratfun import RationalFn
 from .toeplitz import Symbol
@@ -42,21 +47,34 @@ def _tokenize(text: str):
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
+        if m is None:
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-        if m.lastgroup is not None:
-            kind = [k for k in ("int", "name", "op") if m.group(k)][0]
-            tokens.append((kind, m.group(kind), m.start(kind)))
+        kind = m.lastgroup
+        val, start = m.group(kind), m.start(kind)
+        if kind == "name" and val[0] in "zr" and val[1:].isdigit():   # glued: z3 is z^3
+            tokens += [(kind, val[0], start), ("op", "^", start + 1), ("int", val[1:], start + 1)]
+        else:
+            tokens.append((kind, val, start))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
 
 
+def _divide(a, b, pos: int):
+    """a / b, or a ParseError at pos when b is 0 or has a non-rational root."""
+    try:
+        return a / b
+    except (ZeroDivisionError, ValueError) as exc:
+        raise ParseError(f"cannot divide by {b.render()}: {exc}", pos) from None
+
+
 class _Parser:
-    """Tokens and the shared rules; a subclass supplies ``parse_term``."""
+    """Tokens and the shared rules.  A subclass supplies its vocabulary: the
+    product operators ``MUL_OPS``, the noun ``ATOM`` of its error message,
+    ``const``, ``parse_word``, ``parse_exponent`` and ``other_power``."""
 
     def __init__(self, text: str):
         self.text = text
@@ -84,6 +102,60 @@ class _Parser:
             out = out + term if op == "+" else out - term
         return out
 
+    def parse_term(self):
+        out = self.parse_power()
+        while self.peek()[1] in self.MUL_OPS:
+            op = self.next()[1]
+            pos = self.peek()[2]
+            rhs = self.parse_power()
+            out = out * rhs if op == "*" else _divide(out, rhs, pos)
+        return out
+
+    def parse_power(self):
+        """power := atom ['^' exponent]."""
+        pos = self.peek()[2]
+        base = self.parse_atom()
+        if self.peek()[1] != "^":
+            return base
+        self.next()
+        n = self.parse_exponent()
+        if n < 0 or n.denominator != 1:
+            return self.other_power(base, n, pos)
+        return self.power(base, int(n))
+
+    def power(self, x, n: int):
+        """x^n for n >= 0: the product of n factors x through the algebra's own
+        '*', taken by square and multiply over the bits of n; x^0 is one."""
+        out = x if n else self.const(1)
+        for bit in bin(n)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * x
+        return out
+
+    def parse_atom(self):
+        """atom := number | 'i' | indet | '(' expr ')' | a word of the vocabulary."""
+        kind, val, pos = self.peek()
+        if kind == "int":
+            return self.const(Coeff.const(self.parse_scalar()))
+        self.next()
+        if val == "(":
+            out = self.parse_expr()
+            self.expect(")")
+            return out
+        if kind != "name":
+            raise ParseError(f"expected {self.ATOM}, found {val or 'end of input'!r}", pos)
+        word = self.parse_word(val)
+        if word is not None:
+            return word
+        if val == "i":
+            return self.const(Coeff.const(GaussianRational(0, 1)))
+        try:
+            indet = Coeff.indet(val)
+        except ValueError:
+            raise ParseError(f"unknown identifier {val!r}", pos) from None
+        return self.const(indet)
+
     def peek(self):
         return self.tokens[self.i]
 
@@ -97,9 +169,6 @@ class _Parser:
         if val != value:
             raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", pos)
 
-    def fail(self, message):
-        raise ParseError(message, self.peek()[2])
-
     def parse_signed_int(self) -> int:
         sign = 1
         kind, val, pos = self.peek()
@@ -110,15 +179,6 @@ class _Parser:
         if kind != "int":
             raise ParseError(f"expected an integer, found {val or 'end of input'!r}", pos)
         return sign * int(val)
-
-    def _opt_exponent(self) -> int:
-        """The exponent after z or conj(z); the caret is optional."""
-        if self.peek()[1] == "^":
-            self.next()
-            return self.parse_signed_int()
-        if self.peek()[0] == "int":
-            return int(self.next()[1])
-        return 1
 
     def parse_scalar(self) -> GaussianRational:
         """A rendered scalar: 3, 31/4, 2i, -1/3i; the sign is handled upstream."""
@@ -165,86 +225,39 @@ def _const_symbol(c) -> Symbol:
 
 
 class _SymbolParser(_Parser):
-    def parse_term(self) -> Symbol:
-        out = self.parse_factor()
-        while self.peek()[1] == "*":
-            self.next()
-            out = out * self.parse_factor()
-        return out
+    MUL_OPS = ("*",)
+    ATOM = "a factor"
+    const = staticmethod(_const_symbol)
+    parse_exponent = _Parser.parse_signed_rat   # r^3/2 is r^(3/2)
 
-    def parse_factor(self) -> Symbol:
-        kind, val, pos = self.peek()
-        if kind == "int":
-            return _const_symbol(Coeff.const(self.parse_scalar()))
-        if val == "i":
-            self.next()
-            return _const_symbol(Coeff.const(GaussianRational(0, 1)))
-        if val == "(":
-            self.next()
-            out = self.parse_expr()
-            self.expect(")")
-            return out
-        if kind != "name":
-            self.fail(f"expected a factor, found {val or 'end of input'!r}")
-        self.next()
-        if val == "z":
-            n = self._opt_exponent()
-            if n < 0:
-                raise ParseError("z^n requires n >= 0 (use conj(z) for the conjugate)", pos)
-            return Symbol({n: RadialFunction.term(1, n)})
-        if val == "conj":
+    def parse_word(self, word: str):
+        """z, conj(z), e(k), r or ln(r); None for any other name."""
+        if word == "z":
+            return Symbol({1: RadialFunction.term(1, 1)})
+        if word == "r":
+            return Symbol({0: RadialFunction.term(1, 1)})
+        if word in ("conj", "ln"):
             self.expect("(")
-            kind2, val2, pos2 = self.next()
-            if val2 != "z":
-                raise ParseError("only conj(z) is supported", pos2)
+            arg = "z" if word == "conj" else "r"
+            kind, val, pos = self.next()
+            if val != arg:
+                raise ParseError(f"only {word}({arg}) is supported", pos)
             self.expect(")")
-            n = self._opt_exponent()
-            if n < 0:
-                raise ParseError("conj(z)^n requires n >= 0", pos)
-            return Symbol({-n: RadialFunction.term(1, n)})
-        if val == "e":
+            if word == "conj":
+                return Symbol({-1: RadialFunction.term(1, 1)})
+            return Symbol({0: RadialFunction.term(1, 0, 1)})
+        if word == "e":
             self.expect("(")
             k = self.parse_signed_int()
             self.expect(")")
             return Symbol({k: RadialFunction.const(1)})
-        if val == "r":
-            a = Fraction(1)
-            if self.peek()[1] == "^":
-                self.next()
-                a = self.parse_signed_rat()
-            elif self.peek()[0] == "int":
-                a = Fraction(int(self.next()[1]))
-            return Symbol({0: RadialFunction.term(1, a)})
-        if val == "ln":
-            self.expect("(")
-            kind2, val2, pos2 = self.next()
-            if val2 != "r":
-                raise ParseError("only ln(r) is supported", pos2)
-            self.expect(")")
-            b = 1
-            if self.peek()[1] == "^":
-                self.next()
-                b = self.parse_signed_int()
-            if b < 0:
-                raise ParseError("ln(r)^b requires b >= 0", pos)
-            return Symbol({0: RadialFunction.term(1, 0, b)})
-        # the tokenizer glues a caretless exponent onto the name: z3, r2
-        m = re.fullmatch(r"(z|r)(\d+)", val)
-        if m is not None:
-            n = int(m.group(2))
-            k = n if m.group(1) == "z" else 0
-            return Symbol({k: RadialFunction.term(1, n)})
-        try:
-            indet_key(val)
-        except ValueError:
-            raise ParseError(f"unknown identifier {val!r}", pos) from None
-        e = 1
-        if self.peek()[1] == "^":
-            self.next()
-            e = self.parse_signed_int()
-        if e < 1:
-            raise ParseError(f"{val}^e requires e >= 1", pos)
-        return _const_symbol(Coeff.indet(val, e))
+        return None
+
+    def other_power(self, base: Symbol, a: Fraction, pos: int) -> Symbol:
+        """r^a for a negative or fractional a; no other base takes such a power."""
+        if base != Symbol({0: RadialFunction.term(1, 1)}):
+            raise ParseError(f"only r takes the power {a}; other bases take integers >= 0", pos)
+        return Symbol({0: RadialFunction.term(1, a)})
 
 
 def parse_symbol_expr(text: str) -> Symbol:
@@ -277,62 +290,18 @@ def parse_basis_vector(text: str) -> int:
 # rational functions in z
 
 
-def _divide(a: RationalFn, b: RationalFn, pos: int) -> RationalFn:
-    """a / b, or a ParseError at pos when b is 0 or has a non-rational root."""
-    try:
-        return a / b
-    except (ZeroDivisionError, ValueError) as exc:
-        raise ParseError(f"cannot divide by {b.render()}: {exc}", pos) from None
-
-
 class _RatParser(_Parser):
-    def parse_term(self) -> RationalFn:
-        out = self.parse_power()
-        while self.peek()[1] in ("*", "/"):
-            op = self.next()[1]
-            pos = self.peek()[2]
-            rhs = self.parse_power()
-            out = out * rhs if op == "*" else _divide(out, rhs, pos)
-        return out
+    MUL_OPS = ("*", "/")
+    ATOM = "a value"
+    const = staticmethod(RationalFn.const)
+    parse_exponent = _Parser.parse_signed_int
 
-    def parse_power(self) -> RationalFn:
-        pos = self.peek()[2]
-        base = self.parse_atom()
-        if self.peek()[1] == "^":
-            self.next()
-            n = self.parse_signed_int()
-            if n < 0:
-                out = RationalFn.one
-                for _ in range(-n):
-                    out = _divide(out, base, pos)
-                return out
-            out = RationalFn.one
-            for _ in range(n):
-                out = out * base
-            return out
-        return base
+    def parse_word(self, word: str):
+        return RationalFn.poly({1: 1}) if word == "z" else None
 
-    def parse_atom(self) -> RationalFn:
-        kind, val, pos = self.peek()
-        if kind == "int":
-            return RationalFn.const(Coeff.const(self.parse_scalar()))
-        if val == "(":
-            self.next()
-            out = self.parse_expr()
-            self.expect(")")
-            return out
-        if kind == "name":
-            self.next()
-            if val == "i":
-                return RationalFn.const(Coeff.const(GaussianRational(0, 1)))
-            if val == "z":
-                return RationalFn.poly({1: 1})
-            try:
-                indet_key(val)
-            except ValueError:
-                raise ParseError(f"unknown identifier {val!r}", pos) from None
-            return RationalFn.const(Coeff.indet(val))
-        self.fail(f"expected a value, found {val or 'end of input'!r}")
+    def other_power(self, base: RationalFn, n: int, pos: int) -> RationalFn:
+        """x^-n as 1 / x^n."""
+        return _divide(RationalFn.one, self.power(base, -n), pos)
 
 
 def parse_rational_expr(text: str) -> RationalFn:

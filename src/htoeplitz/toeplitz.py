@@ -12,8 +12,9 @@ commutator check split a symbol by the monomials of its coefficients: the
 concrete action has one scalar per column entry, and the generic action (for
 every n above a threshold) one scalar rational function of the index per
 piece, so a ``Coeff`` enters only when a nonzero residual is written back.
-``_Entries`` is the one concrete column formula: ``apply_quasi``,
-``apply_symbol`` and the concrete residual all read it.
+``_Entries`` is the one concrete column formula: ``apply_symbol`` and the
+concrete residual read it, and ``apply_quasi`` is ``apply_symbol`` on one
+quasihomogeneous symbol and one basis vector.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class HarmonicVector(Terms):
     __slots__ = ()
 
     @staticmethod
-    def basis(m: int, c=1) -> "HarmonicVector":
+    def basis(m: int, c=ONE) -> "HarmonicVector":
         return HarmonicVector({m: Coeff.coerce(c)})
 
     def __str__(self):
@@ -161,19 +162,20 @@ def apply_quasi(k: int, phi: RadialFunction, m: int) -> HarmonicVector:
 
     The product lies in angular degree m + k, and its projection onto
     e_{m+k} is T e_m = 2(|m+k|+1) phihat(|m|+|m+k|+2) e_{m+k}: one Mellin
-    value of phi, read from the column entries F(m) that ``apply_symbol``
-    and the certificate use.  Unlike ``apply_symbol`` it does not check
-    integrability; a term at a pole of phihat raises PoleError.
+    value of phi.  It is ``apply_symbol`` on one component and one basis
+    vector, so a term r^a (ln r)^b with a <= -2 raises NonIntegrableSymbolError.
     """
-    return HarmonicVector({m + k: Coeff({mu: GaussianRational.coerce(F[m])
-                                         for mu, _, F in _pieces(Symbol({k: phi}))})})
+    return apply_symbol(Symbol({k: phi}), HarmonicVector.basis(m))
 
 
 def apply_symbol(f: Symbol, w: HarmonicVector) -> HarmonicVector:
     """T_f w: each piece (mu, k, F) of f maps c e_m to c mu F(m) e_{m+k}."""
     _check_integrable(f)
-    return sum((HarmonicVector({m + k: c * Coeff({mu: GaussianRational.coerce(F[m])})})
-                for mu, k, F in _pieces(f) for m, c in w.terms.items()), HarmonicVector())
+    out: dict = {}
+    for mu, k, F in _pieces(f):
+        for m, c in w.terms.items():
+            _acc(out, m + k, Coeff({_mono_mul(mu, mc): g * F[m] for mc, g in c.terms.items()}))
+    return HarmonicVector(out)
 
 
 def _pairs(f: Symbol, u: Symbol) -> list:
@@ -251,7 +253,7 @@ def generic_residual(f: Symbol, u: Symbol, side: str) -> Terms:
     fs, us = _generic_pieces(f, side), _generic_pieces(u, side)
     fu, uf = _compose(fs, us), _compose(us, fs)   # T_f after T_u, T_u after T_f
     out = {}
-    for d in set(fu) | set(uf):   # set order: the order in which generic_nonzero lists them
+    for d in sorted(set(fu) | set(uf)):
         diff = fu.get(d, Terms()) - uf.get(d, Terms())
         out[d] = sum((fn.scale(Coeff({mu: ONE})) for mu, fn in diff.terms.items()), RationalFn.zero)
     return Terms({d: fn.affine_substitute(2, 0) for d, fn in out.items() if fn})
@@ -266,7 +268,8 @@ class CommutationReport:
 
     @property
     def generic_nonzero(self) -> list:
-        """(side, offset) of every entry of the generic residuals, all nonzero."""
+        """(side, offset) of every entry of the generic residuals, all nonzero;
+        each side's offsets in increasing order."""
         return [(side, d) for side, entries in self.generic.items() for d in entries.terms]
 
     def to_json(self):

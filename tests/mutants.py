@@ -1,4 +1,4 @@
-"""Mutation check: does Tier-1 fail when the certificate or the solver is wrong?
+"""Mutation check: does Tier-1 fail when the certificate, the solver or the parser is wrong?
 
 Run from anywhere:  python3 tests/mutants.py
 
@@ -177,6 +177,16 @@ MUTANTS = [
     Mutant("bisection counts the right half from mid + 1", "ratfun.py",
            "vmid = variations(mid)", "vmid = variations(mid + 1)",
            killer="tests/test_golden_reports.py::test_golden_report[invmellin]"),
+    # the one power rule of the expression grammar (parser._Parser.parse_power)
+    Mutant("power loop one factor short: x^3 read as x^2", "parser.py",
+           'if bit == "1":', "if False:",
+           killer="tests/test_parser.py::test_power_is_repeated_product[z]"),
+    Mutant("bare-r exception dropped", "parser.py",
+           "if base != Symbol({0: RadialFunction.term(1, 1)}):", "if True:",
+           killer="tests/test_parser.py::test_only_r_takes_rational_powers[r^-1-a0]"),
+    Mutant("negative rational power multiplied, not divided", "parser.py",
+           "_divide(RationalFn.one, self.power(base, -n), pos)", "self.power(base, -n)",
+           killer="tests/test_parser.py::test_rational_expressions"),
     # the command line: a failed solve is a report with exit 1, not a traceback
     Mutant("TelescopeError dropped from the failure tuple", "cli.py",
            "except (MellinInversionError, NonIntegrableSymbolError, TelescopeError) as e:",

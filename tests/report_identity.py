@@ -14,7 +14,11 @@ repeats:
 - the derive sweep: L 0..4, N 2..6, K 0..6;
 - every ``requests`` and ``smoke_requests`` entry of each workload in
   bench/workloads.py at seeds 0, 1, 2 and 7;
-- ``derive --L 20 --N 3 --K 22``.
+- ``derive --L 20 --N 3 --K 22``;
+- the parser inputs below: the literal expressions of tests/test_cli_fuzz.py,
+  valid and invalid, plus the edges of the power rule, sent as ``apply``
+  (symbols and basis vectors), ``mellin`` (radials) and ``invmellin``
+  (rational functions), so that exit codes and error messages are compared.
 
 The name has no test_ prefix, so pytest does not collect this file.  It
 uses the standard library only.
@@ -33,6 +37,20 @@ from typing import List
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1, 2, 7)
+
+POWER_EDGES = ["(z+1)^2", "e(1)^2", "2^3", "i^2", "(r)^(1/2)", "abar1^0", "C1^0", "z^0",
+               "ln(r)^0", "z3", "r2", "r^-1", "r^3/2", "r^(1/2)", "z^2^3", "z^-1", "z^(1/2)",
+               "(2*r)^(1/2)", "ln(r)^-1", "abar1^-1", "z 3", "r 2", "conj(z)2"]
+SYMBOLS = ["z", "z^2", "conj(z)", "C1*z + C0", "z + abar1*conj(z)", "e(3)*r^3", "e(-1)*r^-1",
+           "r^4*ln(r)", "-z", "r^-4", "z + e(1)*r^-2*ln(r)",
+           "abar1^0", "ln(r)^-1", "1/0", "r^(1/0)", "z^^2", "conj(", "", "foo", "e(x)"] + POWER_EDGES
+RADIALS = ["r^4*ln(r)", "1", "r^-1", "3/2*r^(1/2)*ln(r)^2", "r^-4",
+           "z", "r^(1/0)", "ln(r)^-1", "r^", "", "r2", "r 2", "r^3/2", "(r)^(1/2)"]
+RATIONALS = ["-1/(z+4)^2", "(z+2)/(z^2+6*z+8)", "z+1", "1/z", "1/(z+10000000000000000)",
+             "1/((z+123456789012345678901234567890)*(z+1))",
+             "1/(z^2+1)", "1/(z-z)", "1/(abar1*z+1)", "(z^2+1)^-1", "1/0", "", "z^", "((z)",
+             "1/(963761198400*z^2+z+963761198400)", "z3", "(z+1)^-2"]
+VECTORS = ["1", "z", "z^3", "zbar^2", "conj(z)", "z^-1", "zbar^0", "x", ""]
 
 # runs in the child: argvs as JSON in argv[1], one record per argv as JSON on stdout
 _CHILD = r"""
@@ -73,6 +91,10 @@ def standard_requests() -> List[List[str]]:
             for req in wl.requests(name, seed) + wl.smoke_requests(name, seed):
                 argvs.append(list(req.argv))
     argvs.append(["derive", "--L", "20", "--N", "3", "--K", "22"])
+    argvs += [["apply", f"--f={f}", "--v=z"] for f in SYMBOLS]
+    argvs += [["apply", "--f=z", f"--v={v}"] for v in VECTORS]
+    argvs += [["mellin", "--", phi] for phi in RADIALS]
+    argvs += [["invmellin", "--", q] for q in RATIONALS]
     return [list(a) for a in dict.fromkeys(tuple(a) for a in argvs)]
 
 
