@@ -30,7 +30,6 @@ from .parser import (
 )
 from .radial import RadialFunction
 from .toeplitz import (
-    HarmonicVector,
     NonIntegrableSymbolError,
     apply_quasi,
     apply_symbol,
@@ -107,7 +106,7 @@ def _cmd_invmellin(args):
 def _cmd_apply(args):
     f = parse_symbol_expr(args.f)
     m = parse_basis_vector(args.v)
-    out = apply_symbol(f, HarmonicVector.basis(m))
+    out = apply_symbol(f, m)
     result = {"f": str(f), "v": basis_label(m), "image": out.to_json()}
     return result, [], True, [f"T_f {basis_label(m)} = {out}"]
 

@@ -269,13 +269,9 @@ class Coeff(Terms):
         return Coeff({(): x}) if x else Coeff()
 
     @staticmethod
-    def indet(name: str, exp: int = 1) -> "Coeff":
+    def indet(name: str) -> "Coeff":
         indet_key(name)  # validates
-        if exp < 0:
-            raise ValueError("negative exponent")
-        if exp == 0:
-            return Coeff.const(1)
-        return Coeff({((name, exp),): ONE})
+        return Coeff({((name, 1),): ONE})
 
     @staticmethod
     def coerce(x: "Coeff | GaussianRational | Rat") -> "Coeff":
@@ -301,13 +297,6 @@ class Coeff(Terms):
     def scale(self, s: GaussianRational | Rat) -> "Coeff":
         s = GaussianRational.coerce(s)
         return Coeff({m: c * s for m, c in self.terms.items()})
-
-    def __truediv__(self, s):
-        if isinstance(s, Coeff):
-            if not s.is_scalar():
-                raise TypeError("Coeff division only by scalars")
-            s = s.scalar()
-        return self.scale(ONE / GaussianRational.coerce(s))
 
     def is_scalar(self) -> bool:
         return all(m == () for m in self.terms)

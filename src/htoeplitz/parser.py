@@ -51,7 +51,7 @@ def _tokenize(text: str):
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
+            raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
         kind = m.lastgroup
         val, start = m.group(kind), m.start(kind)
         if kind == "name" and val[0] in "zr" and val[1:].isdigit():   # glued: z3 is z^3

@@ -3,15 +3,20 @@
 A ``RadialFunction`` is a finite sum  sum_{(a,b)} c_{a,b} * r^a * (ln r)^b
 with a rational, b a nonnegative integer and c_{a,b} a ``Coeff``: a
 ``Terms`` map (a, b) -> c_{a,b}, which supplies addition, negation, equality,
-hashing and the product loop.  This span is closed under addition,
-multiplication and multiplication by r^j, and it carries the L^1([0,1), r dr)
-integrability test used to kill constants.
+hashing and the product loop.  This span is closed under addition and
+multiplication, and it carries the L^1([0,1), r dr) integrability test used
+to kill constants.  ``RadialFunction.term`` is the one constructor that reads
+outside values: it makes the key (Fraction a, int b), refuses b < 0 and reads
+the coefficient as a ``Coeff``.  Sums, products, substitutions and
+``mellin.inverse_mellin`` build from keys and values already in that form,
+so they check nothing again.  A ``RadialFunction`` multiplies only by a
+``RadialFunction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Tuple
+from typing import Tuple
 
 from .exactalg import Coeff, Rat, Terms, render_sum, render_term
 
@@ -26,21 +31,14 @@ def _key_mul(x: Key, y: Key) -> Key:
 class RadialFunction(Terms):
     __slots__ = ()
 
-    def __init__(self, terms: Mapping[Key, Coeff] | None = None):
-        clean = {}
-        for (a, b), c in (terms or {}).items():
-            c = Coeff.coerce(c)
-            if c:
-                if b < 0:
-                    raise ValueError("log power must be >= 0")
-                clean[(Fraction(a), int(b))] = c
-        object.__setattr__(self, "terms", clean)
-
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def term(coeff, a: Rat, b: int = 0) -> "RadialFunction":
-        return RadialFunction({(Fraction(a), b): Coeff.coerce(coeff)})
+        """coeff r^a (ln r)^b: the one constructor that reads outside values."""
+        if b < 0:
+            raise ValueError("log power must be >= 0")
+        return RadialFunction({(Fraction(a), int(b)): Coeff.coerce(coeff)})
 
     @staticmethod
     def const(coeff) -> "RadialFunction":
@@ -53,13 +51,7 @@ class RadialFunction(Terms):
     def __mul__(self, other):
         if isinstance(other, RadialFunction):
             return RadialFunction(self._product(other, _key_mul))
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "RadialFunction":
-        c = Coeff.coerce(c)
-        return RadialFunction({k: v * c for k, v in self.terms.items()})
+        return NotImplemented
 
     # -- integrability -----------------------------------------------------
 

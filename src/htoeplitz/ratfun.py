@@ -15,6 +15,8 @@ with no polynomial part.  ``num`` / ``den`` write one as a reduced quotient
 with a monic denominator, for rendering and serialization.  The values are
 ``Coeff``s or exact scalars (int, Fraction, GaussianRational), never both in
 one ``RationalFn``; ``fn.scale(coeff)`` lifts a scalar one to a ``Coeff`` one.
+A ``RationalFn`` adds, multiplies and divides only with a ``RationalFn``; a
+constant enters as ``RationalFn.const(c)``.
 """
 
 from __future__ import annotations
@@ -100,14 +102,6 @@ class RationalFn(Terms):
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def coerce(x) -> "RationalFn":
-        """x as a RationalFn: scalars and Coeffs become constants; NotImplemented for other types."""
-        if isinstance(x, RationalFn):
-            return x
-        x = Coeff.coerce(x)
-        return x if x is NotImplemented else RationalFn({0: x})
-
-    @staticmethod
     def poly(terms: Mapping[int, object]) -> "RationalFn":
         """The polynomial sum_i terms[i] z^i, each value read as a Coeff."""
         return RationalFn({i: Coeff.coerce(c) for i, c in terms.items()})
@@ -175,16 +169,13 @@ class RationalFn(Terms):
     __hash__ = Terms.__hash__
 
     def __mul__(self, other):
-        other = RationalFn.coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, RationalFn):
             return NotImplemented
         out: dict = {}
         for a, ca in self.terms.items():
             for b, cb in other.terms.items():
                 _add_term_product(out, a, b, ca * cb)
         return RationalFn(out)
-
-    __rmul__ = __mul__
 
     def scale(self, c) -> "RationalFn":
         return RationalFn({k: v * c for k, v in self.terms.items()})
@@ -196,8 +187,7 @@ class RationalFn(Terms):
         1/(z+q) directly.  Every divisor it accepts is a scalar times a
         product of monic linear factors (z+q).
         """
-        other = RationalFn.coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, RationalFn):
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero RationalFn")

@@ -12,9 +12,9 @@ commutator check split a symbol by the monomials of its coefficients: the
 concrete action has one scalar per column entry, and the generic action (for
 every n above a threshold) one scalar rational function of the index per
 piece, so a ``Coeff`` enters only when a nonzero residual is written back.
-``_Entries`` is the one concrete column formula: ``apply_symbol`` and the
-concrete residual read it, and ``apply_quasi`` is ``apply_symbol`` on one
-quasihomogeneous symbol and one basis vector.
+``_Entries`` is the one concrete column formula: ``apply_symbol(f, m)``,
+which is T_f e_m, and the concrete residual read it, and ``apply_quasi`` is
+``apply_symbol`` on one component e^{ik theta} phi.
 """
 
 from __future__ import annotations
@@ -162,20 +162,20 @@ def apply_quasi(k: int, phi: RadialFunction, m: int) -> HarmonicVector:
 
     The product lies in angular degree m + k, and its projection onto
     e_{m+k} is T e_m = 2(|m+k|+1) phihat(|m|+|m+k|+2) e_{m+k}: one Mellin
-    value of phi.  It is ``apply_symbol`` on one component and one basis
-    vector, so a term r^a (ln r)^b with a <= -2 raises NonIntegrableSymbolError.
+    value of phi.  It is ``apply_symbol`` on one component, so a term
+    r^a (ln r)^b with a <= -2 raises NonIntegrableSymbolError.
     """
-    return apply_symbol(Symbol({k: phi}), HarmonicVector.basis(m))
+    return apply_symbol(Symbol({k: phi}), m)
 
 
-def apply_symbol(f: Symbol, w: HarmonicVector) -> HarmonicVector:
-    """T_f w: each piece (mu, k, F) of f maps c e_m to c mu F(m) e_{m+k}."""
+def apply_symbol(f: Symbol, m: int) -> HarmonicVector:
+    """T_f e_m: each piece (mu, k, F) of f puts mu F(m) at e_{m+k}; pieces are
+    distinct (mu, k) pairs, so no two of them meet."""
     _check_integrable(f)
     out: dict = {}
     for mu, k, F in _pieces(f):
-        for m, c in w.terms.items():
-            _acc(out, m + k, Coeff({_mono_mul(mu, mc): g * F[m] for mc, g in c.terms.items()}))
-    return HarmonicVector(out)
+        out.setdefault(m + k, {})[mu] = GaussianRational.coerce(F[m])
+    return HarmonicVector({i: Coeff(c) for i, c in out.items()})
 
 
 def _pairs(f: Symbol, u: Symbol) -> list:

@@ -96,6 +96,16 @@ MUTANTS = [
     Mutant("pair monomial reduced to mu_f", "toeplitz.py",
            "_mono_mul(mf, mu)) for", "mf) for",
            killer="tests/test_acceptance.py::test_criterion_9_main_theorem"),
+    # one basis vector through T_f (toeplitz.apply_symbol) and the one checked radial term
+    Mutant("apply_symbol reads F at m + k, not m", "toeplitz.py",
+           "GaussianRational.coerce(F[m])", "GaussianRational.coerce(F[m + k])",
+           killer="tests/test_toeplitz.py::test_mixed_action"),
+    Mutant("apply_symbol drops the piece monomial mu", "toeplitz.py",
+           "out.setdefault(m + k, {})[mu]", "out.setdefault(m + k, {})[()]",
+           killer="tests/test_toeplitz.py::test_apply_quasi_matches_transform"),
+    Mutant("RadialFunction.term without its b >= 0 check", "radial.py",
+           "if b < 0:", "if False:",
+           killer="tests/test_radial.py::test_term_refuses_negative_log_power"),
     Mutant("_split without (-1)^i", "ratfun.py",
            "s = (-1) ** i * comb(", "s = comb(",
            killer="tests/test_acceptance.py::test_criterion_5_f_minus_1"),
@@ -187,6 +197,9 @@ MUTANTS = [
     Mutant("negative rational power multiplied, not divided", "parser.py",
            "_divide(RationalFn.one, self.power(base, -n), pos)", "self.power(base, -n)",
            killer="tests/test_parser.py::test_rational_expressions"),
+    Mutant("unexpected character placed at the spaces before it", "parser.py",
+           "len(text) - len(stripped))", "pos)",
+           killer="tests/test_parser.py::test_error_positions"),
     # the command line: a failed solve is a report with exit 1, not a traceback
     Mutant("TelescopeError dropped from the failure tuple", "cli.py",
            "except (MellinInversionError, NonIntegrableSymbolError, TelescopeError) as e:",

@@ -112,7 +112,7 @@ def test_criterion_3_f1(capfd):
             + RadialFunction.term(2, 1, 1)
             - RadialFunction.term(1, -1)
         )
-        expected = RadialFunction.term(C(1), 1) + bracket.scale(C(3) * abar(1))
+        expected = RadialFunction.term(C(1), 1) + bracket * RadialFunction.const(C(3) * abar(1))
         assert rep.match
         assert rep.derived == expected
 
@@ -124,8 +124,8 @@ def test_criterion_4_f0(capfd):
         b2 = RadialFunction.term(4, 0, 1) + RadialFunction.term(2, 2) + RadialFunction.term(1, 4)
         expected = (
             RadialFunction.const(C(0))
-            + b1.scale(C(2) * abar(1))
-            + b2.scale(C(3) * abar(2))
+            + b1 * RadialFunction.const(C(2) * abar(1))
+            + b2 * RadialFunction.const(C(3) * abar(2))
         )
         assert rep.match
         assert rep.derived == expected

@@ -159,6 +159,9 @@ def test_verify_paper_warns_but_passes(capsys):
     assert code == 0
     assert report["result"]["sound"] is True
     assert any("f-1" in w for w in report["warnings"])
+    code, out = run(capsys, "--pretty", "verify-paper", "--tags", "f-1")
+    assert code == 0
+    assert any(line.startswith("warning: f-1") for line in out.splitlines())
 
 
 def test_oracle_check(capsys):
@@ -168,6 +171,19 @@ def test_oracle_check(capsys):
     assert code == 0
     assert report["result"]["failures"] == []
     assert report["result"]["max_diff"] < 1e-9
+
+
+def test_oracle_check_reports_quadrature_failure(capsys, monkeypatch):
+    # a case whose quadrature fails is a failure of the run, with its case and message
+    def diverge(*args):
+        raise cli.QuadratureDivergenceError("quadrature failed to converge (error estimate 1)")
+
+    monkeypatch.setattr(cli, "apply_numeric", diverge)
+    code, report = run_json(capsys, "oracle-check", "--cases", "2", "--seed", "3")
+    assert code == 1
+    assert report["status"] == "fail"
+    assert report["result"]["failures"] == [
+        {"case": c, "error": "quadrature failed to converge (error estimate 1)"} for c in (0, 1)]
 
 
 def test_usage_error_exit_2(capsys):

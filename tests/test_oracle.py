@@ -24,6 +24,7 @@ from htoeplitz import (
     mellin_numeric,
     u_symbol,
 )
+from htoeplitz import oracle
 from htoeplitz.toeplitz import branch_offset, branch_z, generic_residual
 
 from .conftest import bind_eval, radial_functions
@@ -80,6 +81,14 @@ def test_mellin_numeric_log_squared():
 def test_divergence_detected():
     with pytest.raises(QuadratureDivergenceError):
         mellin_numeric(RadialFunction.term(1, -4), 3.0)
+
+
+def test_unconverged_quadrature_refused(monkeypatch):
+    # an error estimate above QUAD_MAX_ERR is a failure, never a value
+    import scipy.integrate
+    monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kw: (0.5, 10 * oracle.QUAD_MAX_ERR))
+    with pytest.raises(QuadratureDivergenceError, match="failed to converge"):
+        mellin_numeric(RadialFunction.term(1, 2), 3.0)
 
 
 def test_interval_quadrature_converges_upward():

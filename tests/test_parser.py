@@ -85,6 +85,15 @@ def test_error_positions():
         with pytest.raises(ParseError) as exc:
             parse_symbol_expr(bad)
         assert "column" in str(exc.value)
+    # an unexpected character is placed at its own column, not at the spaces before it
+    for bad, column in (("z .", 3), ("z+  $", 5)):
+        with pytest.raises(ParseError) as exc:
+            parse_symbol_expr(bad)
+        assert str(exc.value).endswith(f"(column {column})")
+
+
+def test_leading_plus_and_trailing_space():
+    assert parse_symbol_expr("+z") == parse_symbol_expr("z ") == parse_symbol_expr("z")
 
 
 @given(radial_functions(scalar=False))

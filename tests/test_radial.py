@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 
 from htoeplitz import C, Coeff, RadialFunction, abar
@@ -20,6 +21,21 @@ def test_log_powers_multiply():
     lnr = RadialFunction.term(1, 0, 1)
     assert lnr * lnr == RadialFunction.term(1, 0, 2)
     assert (lnr * RadialFunction.term(1, 2, 1)) == RadialFunction.term(1, 2, 2)
+
+
+def test_term_refuses_negative_log_power():
+    # term is the one constructor that reads outside values, so the only check of b >= 0
+    with pytest.raises(ValueError, match="log power"):
+        RadialFunction.term(1, 0, -1)
+
+
+def test_multiplies_only_by_radial_functions():
+    # a scalar factor enters as RadialFunction.const(c)
+    r = RadialFunction.term(1, 1)
+    assert r * RadialFunction.const(2) == RadialFunction.term(2, 1)
+    for bad in (lambda: r * 2, lambda: 2 * r, lambda: r * C(1)):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_integrability_boundary():

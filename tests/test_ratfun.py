@@ -41,6 +41,16 @@ def test_pole_free_scalar_function_renders():
     assert f.to_json() == lifted.to_json()
 
 
+def test_operands_are_rational_functions():
+    # a constant enters as RationalFn.const(c); a bare scalar or Coeff is refused
+    f = RationalFn.fraction(1, 4)
+    assert f * RationalFn.const(2) == RationalFn.fraction(2, 4)
+    for c in (2, Coeff.const(2)):
+        for bad in (lambda: f * c, lambda: c * f, lambda: f / c):
+            with pytest.raises(TypeError):
+                bad()
+
+
 def test_fraction_constructor():
     f = RationalFn.fraction(1, 4, 2)
     assert f.render() == "1/(z+4)^2"
