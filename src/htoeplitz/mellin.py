@@ -4,8 +4,8 @@ For phi(r) = r^a (ln r)^b the transform phihat(z) = int_0^1 phi(r) r^{z-1} dr
 equals (-1)^b b! / (z+a)^{b+1}.  A ``RationalFn`` is stored as partial
 fractions, so both directions relabel terms: r^a (ln r)^b <-> the fraction
 at (a, b+1).  The images of the radial span are the rational functions with
-no polynomial part.  ``mellin_term`` reads the value of one term at one
-point, which is all the Toeplitz action needs.
+no polynomial part.  The Toeplitz action reads single values of terms at
+integer points from its own integer kernel (``toeplitz._Entries``).
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactalg import Rat
 from .radial import RadialFunction
-from .ratfun import PoleError, RationalFn
+from .ratfun import RationalFn
 
 
 class MellinInversionError(ValueError):
@@ -27,17 +26,6 @@ def mellin(p: RadialFunction) -> RationalFn:
     return RationalFn(
         {(a, b + 1): c.scale((-1) ** b * math.factorial(b)) for (a, b), c in p.terms.items()}
     )
-
-
-def mellin_term(a: Fraction, b: int, s: Rat) -> Fraction:
-    """(-1)^b b! / (s+a)^{b+1}, the transform of r^a (ln r)^b at s; PoleError at s = -a.
-
-    With s + a = p/q in lowest terms the value is (-1)^b b! q^{b+1} / p^{b+1},
-    built as one Fraction."""
-    d = s + a
-    if not d:
-        raise PoleError(-a)
-    return Fraction((-1) ** b * math.factorial(b) * d.denominator ** (b + 1), d.numerator ** (b + 1))
 
 
 def inverse_mellin(a: RationalFn) -> RadialFunction:

@@ -12,11 +12,12 @@ split by
 1/((z+p)^a (z+q)^b) = sum_n (-1)^n C(b+n-1, n) (q-p)^(-b-n) / (z+p)^(a-n)
 + (p <-> q).  The Mellin images of the radial span are exactly the forms
 with no polynomial part.  ``num`` / ``den`` write one as a reduced quotient
-with a monic denominator, for rendering and serialization.  The values are
-``Coeff``s or exact scalars (int, Fraction, GaussianRational), never both in
-one ``RationalFn``; ``fn.scale(coeff)`` lifts a scalar one to a ``Coeff`` one.
-A ``RationalFn`` adds, multiplies and divides only with a ``RationalFn``; a
-constant enters as ``RationalFn.const(c)``.
+with a monic denominator, for rendering and serialization; ``num`` sums each
+term times its cofactor, den or den/(z+q)^j, expanded densely over scalars.
+The values are ``Coeff``s or exact scalars (int, Fraction, GaussianRational),
+never both in one ``RationalFn``; ``fn.scale(coeff)`` lifts a scalar one to a
+``Coeff`` one.  A ``RationalFn`` adds, multiplies and divides only with a
+``RationalFn``; a constant enters as ``RationalFn.const(c)``.
 """
 
 from __future__ import annotations
@@ -81,12 +82,13 @@ def _add_term_product(out: dict, a, b, c) -> None:
                     _acc(out, e, c * (s * comb(t - j, e) * q ** (t - j - e)))
 
 
-def _den_poly(den: Mapping[Fraction, int]) -> "RationalFn":
-    """The monic polynomial prod (z+q)^m over den[q] = m."""
-    out = RationalFn.one
-    for q, m in den.items():
-        for _ in range(m):
-            out = out * RationalFn.linear(q)
+def _den_coeffs(den: Mapping[Fraction, int], q=None, j: int = 0) -> list:
+    """Dense scalar coefficients, constant term first, of prod (z+p)^m over
+    den[p] = m with j factors (z+q) left out, one factor (z+p) at a time."""
+    out = [1]
+    for p, m in den.items():
+        for _ in range(m - j if p == q else m):
+            out = [p * a + b for a, b in zip(out + [0], [0] + out)]
     return out
 
 
@@ -158,8 +160,18 @@ class RationalFn(Terms):
 
     @property
     def num(self) -> "RationalFn":
-        """The numerator polynomial over ``den``; it shares no factor (z+q) with it."""
-        return (self * _den_poly(self.den)).poly_part
+        """The numerator polynomial over ``den``; it shares no factor (z+q) with it.
+        It is poly_part den + sum c den/(z+q)^j, each cofactor dense over scalars."""
+        den = self.den
+        whole, out = _den_coeffs(den), {}
+        for key, c in self.terms.items():
+            i0, cof = (key, whole) if type(key) is int else (0, _den_coeffs(den, *key))
+            monos = Coeff.coerce(c).terms
+            for i, s in enumerate(cof, i0):
+                if s:
+                    for mono, g in monos.items():
+                        _acc(out.setdefault(i, {}), mono, g * s)
+        return RationalFn({i: Coeff(t) for i, t in out.items()})
 
     # -- algebra -----------------------------------------------------------
 
@@ -206,7 +218,7 @@ class RationalFn(Terms):
         if not num.leading().is_scalar():
             raise ValueError("divisor must reduce to a scalar times linear factors")
         den = other.den
-        out = self * _den_poly(den) if den else self
+        out = self * RationalFn.poly(dict(enumerate(_den_coeffs(den)))) if den else self
         out = out.scale(GaussianRational(1) / (scale * num.leading().scalar()))
         for q in roots:
             out = out * RationalFn.fraction(1, q)

@@ -14,21 +14,23 @@ every n above a threshold) one scalar rational function of the index per
 piece, so a ``Coeff`` enters only when a nonzero residual is written back.
 ``_Entries`` is the one concrete column formula: ``apply_symbol(f, m)``,
 which is T_f e_m, and the concrete residual read it, and ``apply_quasi`` is
-``apply_symbol`` on one component e^{ik theta} phi.
+``apply_symbol`` on one component e^{ik theta} phi.  Its entries are integer
+triples (re, im, den), summed fraction-free; the concrete residual tests a
+sum for zero by its numerator and builds a Fraction only for a nonzero one.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from math import factorial
+from fractions import Fraction
+from math import factorial, lcm
 from typing import Dict
 
 from .exactalg import (ONE, Coeff, GaussianRational, Rat, Terms, _mono_mul, aname, render_sum,
                        render_term)
-from .mellin import mellin_term
 from .radial import RadialFunction
-from .ratfun import RationalFn, _acc
+from .ratfun import PoleError, RationalFn, _acc
 
 ANALYTIC = "analytic"
 CONJUGATE = "conjugate"
@@ -134,15 +136,34 @@ class _Entries(dict):
     """The column entries F(m) of one piece (mu, k, terms) of a symbol, each
     computed on first use: the piece maps e_m to mu F(m) e_{m+k}, where F(m)
     is 2(j+1) sum c (-1)^b b!/(s+a)^{b+1} over its terms (a, b, c), with
-    j = |m+k| and s = |m|+j+2."""
+    j = |m+k| and s = |m|+j+2.
+
+    An entry is an integer triple (re, im, den), the value (re + i im)/den.
+    The coefficients go over one integer denominator D, and a term with
+    a = p/q gets the Gaussian-integer weight w = c D (-1)^b b! q^{b+1}, so
+    F(m) = 2(j+1) sum w/(sq+p)^{b+1} / D, summed fraction-free.  An
+    integrable term has a > -2 and s >= 2, so s + a > 0 and den > 0."""
 
     def __init__(self, k: int, terms: list):
         self.k, self.terms = k, terms
+        cs = [GaussianRational.coerce(c) for _, _, c in terms]
+        self.D = D = lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
+        self.weights = [(a.numerator, a.denominator, b + 1,
+                         (c.re * D).numerator * w, (c.im * D).numerator * w)
+                        for (a, b, _), c in zip(terms, cs)
+                        for w in [(-1) ** b * factorial(b) * a.denominator ** (b + 1)]]
 
     def __missing__(self, m: int):
         j = abs(m + self.k)
         s = abs(m) + j + 2
-        self[m] = x = 2 * (j + 1) * sum(c * mellin_term(a, b, s) for a, b, c in self.terms)
+        re, im, den = 0, 0, 1
+        for p, q, e, wr, wi in self.weights:
+            d = s * q + p
+            if not d:
+                raise PoleError(-Fraction(p, q))
+            d **= e
+            re, im, den = re * d + wr * den, im * d + wi * den, den * d
+        self[m] = x = (2 * (j + 1) * re, 2 * (j + 1) * im, den * self.D)
         return x
 
 
@@ -155,6 +176,12 @@ def _pieces(sym: Symbol) -> list:
             for mono, g in coeff.terms.items():
                 groups.setdefault((mono, k), []).append((a, b, g if g.im else g.re))
     return [(mono, k, _Entries(k, terms)) for (mono, k), terms in groups.items()]
+
+
+def _value(x: tuple) -> GaussianRational:
+    """The integer triple (re, im, den) as the GaussianRational (re + i im)/den."""
+    re, im, den = x
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
 def apply_quasi(k: int, phi: RadialFunction, m: int) -> HarmonicVector:
@@ -174,7 +201,7 @@ def apply_symbol(f: Symbol, m: int) -> HarmonicVector:
     _check_integrable(f)
     out: dict = {}
     for mu, k, F in _pieces(f):
-        out.setdefault(m + k, {})[mu] = GaussianRational.coerce(F[m])
+        out.setdefault(m + k, {})[mu] = _value(F[m])
     return HarmonicVector({i: Coeff(c) for i, c in out.items()})
 
 
@@ -188,15 +215,23 @@ def _residual(pairs: list, m: int) -> HarmonicVector:
     """[T_f, T_u] e_m, summed as one scalar per (output index, monomial).
 
     Each pair puts mu_f mu_u (F(m+k_u) U(m) - U(m+k_f) F(m)) at e_{m+k_f+k_u}:
-    T_f after T_u, minus T_u after T_f.
+    T_f after T_u, minus T_u after T_f.  The entries are integer triples
+    (``_Entries``), so the difference and the sums are cross-multiplied
+    integer triples, never reduced; the zero test reads the numerator only,
+    and a Fraction is built only for a nonzero sum.
     """
     acc: dict = {}
     for F, kf, U, ku, mono in pairs:
-        x = F[m + ku] * U[m] - U[m + kf] * F[m]
-        if x:
+        (ar, ai, ad), (br, bi, bd) = F[m + ku], U[m]
+        (cr, ci, cd), (er, ei, ed) = U[m + kf], F[m]
+        d1, d2 = ad * bd, cd * ed
+        re = (ar * br - ai * bi) * d2 - (cr * er - ci * ei) * d1
+        im = (ar * bi + ai * br) * d2 - (cr * ei + ci * er) * d1
+        if re or im:
             out = acc.setdefault(m + kf + ku, {})
-            out[mono] = out[mono] + x if mono in out else x
-    return HarmonicVector({i: Coeff({mono: GaussianRational.coerce(x) for mono, x in c.items()})
+            d, (sr, si, sd) = d1 * d2, out.get(mono, (0, 0, 1))
+            out[mono] = (sr * d + re * sd, si * d + im * sd, sd * d)
+    return HarmonicVector({i: Coeff({mono: _value(x) for mono, x in c.items() if x[0] or x[1]})
                            for i, c in acc.items()})
 
 

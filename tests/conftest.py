@@ -1,8 +1,12 @@
+import math
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from htoeplitz import Coeff, GaussianRational, RadialFunction, RationalFn, Symbol
+from htoeplitz import (Coeff, GaussianRational, HarmonicVector, PoleError, RadialFunction,
+                       RationalFn, Symbol)
+from htoeplitz.exactalg import _mono_mul
+from htoeplitz.toeplitz import _pieces
 
 small_ints = st.integers(-9, 9)
 pos_ints = st.integers(1, 6)
@@ -94,3 +98,48 @@ def bind_eval(fn: RationalFn, z: complex, bindings=None) -> complex:
         else:
             out += c.bind(bindings) / (z + float(key[0])) ** key[1]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Fraction references for the integer column kernel (toeplitz._Entries, _residual)
+
+
+def mellin_term(a: Fraction, b: int, s) -> Fraction:
+    """(-1)^b b! / (s+a)^{b+1}, the transform of r^a (ln r)^b at s; PoleError at s = -a.
+
+    With s + a = p/q in lowest terms the value is (-1)^b b! q^{b+1} / p^{b+1},
+    built as one Fraction."""
+    d = s + a
+    if not d:
+        raise PoleError(-a)
+    return Fraction((-1) ** b * math.factorial(b) * d.denominator ** (b + 1), d.numerator ** (b + 1))
+
+
+class FractionEntries(dict):
+    """F(m) of one piece (k, terms) over Fractions, each computed on first use:
+    2(j+1) sum c mellin_term(a, b, s) with j = |m+k| and s = |m|+j+2."""
+
+    def __init__(self, k: int, terms: list):
+        self.k, self.terms = k, terms
+
+    def __missing__(self, m: int):
+        j = abs(m + self.k)
+        s = abs(m) + j + 2
+        self[m] = x = 2 * (j + 1) * sum(c * mellin_term(a, b, s) for a, b, c in self.terms)
+        return x
+
+
+def residual_reference(f: Symbol, u: Symbol, m: int) -> HarmonicVector:
+    """[T_f, T_u] e_m by the Fraction loop: each pair of pieces puts
+    mu_f mu_u (F(m+k_u) U(m) - U(m+k_f) F(m)) at e_{m+k_f+k_u}."""
+    up = [(mu, ku, FractionEntries(ku, U.terms)) for mu, ku, U in _pieces(u)]
+    pairs = [(FractionEntries(kf, F.terms), kf, U, ku, _mono_mul(mf, mu))
+             for mf, kf, F in _pieces(f) for mu, ku, U in up]
+    acc: dict = {}
+    for F, kf, U, ku, mono in pairs:
+        x = F[m + ku] * U[m] - U[m + kf] * F[m]
+        if x:
+            out = acc.setdefault(m + kf + ku, {})
+            out[mono] = out[mono] + x if mono in out else x
+    return HarmonicVector({i: Coeff({mono: GaussianRational.coerce(x) for mono, x in c.items()})
+                           for i, c in acc.items()})

@@ -91,14 +91,33 @@ MUTANTS = [
            "j = abs(m + self.k)", "j = abs(m) + self.k",
            killer="tests/test_acceptance.py::test_criterion_11_property_suites"),
     Mutant("residual reads F at m + k_f, not m + k_u", "toeplitz.py",
-           "F[m + ku] * U[m]", "F[m + kf] * U[m]",
+           "= F[m + ku], U[m]", "= F[m + kf], U[m]",
            killer="tests/test_acceptance.py::test_criterion_9_main_theorem"),
+    Mutant("residual's cross denominators dropped", "toeplitz.py",
+           "re = (ar * br - ai * bi) * d2 - (cr * er - ci * ei) * d1",
+           "re = (ar * br - ai * bi) - (cr * er - ci * ei)",
+           killer="tests/test_acceptance.py::test_criterion_9_main_theorem"),
+    Mutant("imaginary cross term of F(m+k_u) U(m) with its sign flipped", "toeplitz.py",
+           "im = (ar * bi + ai * br) * d2", "im = (ar * bi - ai * br) * d2",
+           killer="tests/test_toeplitz.py::test_integer_residual_matches_fraction_reference"),
+    Mutant("residual sum adds numerators without cross-multiplying", "toeplitz.py",
+           "(sr * d + re * sd, si * d + im * sd, sd * d)", "(sr + re, si + im, sd * d)",
+           killer="tests/test_toeplitz.py::test_integer_residual_matches_fraction_reference"),
+    Mutant("D left out of an entry's denominator", "toeplitz.py",
+           "den * self.D)", "den)",
+           killer="tests/test_toeplitz.py::test_integer_entries_match_fraction_reference"),
+    Mutant("entry weight without q^(b+1)", "toeplitz.py",
+           "* a.denominator ** (b + 1)]", "]",
+           killer="tests/test_toeplitz.py::test_integer_entries_match_fraction_reference"),
+    Mutant("entry pole guard reports +a", "toeplitz.py",
+           "raise PoleError(-Fraction(p, q))", "raise PoleError(Fraction(p, q))",
+           killer="tests/test_toeplitz.py::test_entry_pole_guard"),
     Mutant("pair monomial reduced to mu_f", "toeplitz.py",
            "_mono_mul(mf, mu)) for", "mf) for",
            killer="tests/test_acceptance.py::test_criterion_9_main_theorem"),
     # one basis vector through T_f (toeplitz.apply_symbol) and the one checked radial term
     Mutant("apply_symbol reads F at m + k, not m", "toeplitz.py",
-           "GaussianRational.coerce(F[m])", "GaussianRational.coerce(F[m + k])",
+           "= _value(F[m])", "= _value(F[m + k])",
            killer="tests/test_toeplitz.py::test_mixed_action"),
     Mutant("apply_symbol drops the piece monomial mu", "toeplitz.py",
            "out.setdefault(m + k, {})[mu]", "out.setdefault(m + k, {})[()]",
@@ -106,6 +125,12 @@ MUTANTS = [
     Mutant("RadialFunction.term without its b >= 0 check", "radial.py",
            "if b < 0:", "if False:",
            killer="tests/test_radial.py::test_term_refuses_negative_log_power"),
+    Mutant("num's cofactor keeps one factor (z+q) too many", "ratfun.py",
+           "range(m - j if p == q else m)", "range(m - j + 1 if p == q else m)",
+           killer="tests/test_ratfun.py::test_num_from_cofactors_equals_the_product_with_den"),
+    Mutant("num without the polynomial part's shift by i", "ratfun.py",
+           "enumerate(cof, i0)", "enumerate(cof)",
+           killer="tests/test_ratfun.py::test_num_from_cofactors_equals_the_product_with_den"),
     Mutant("_split without (-1)^i", "ratfun.py",
            "s = (-1) ** i * comb(", "s = comb(",
            killer="tests/test_acceptance.py::test_criterion_5_f_minus_1"),

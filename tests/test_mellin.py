@@ -12,9 +12,7 @@ from htoeplitz import (
     inverse_mellin,
     mellin,
 )
-from htoeplitz.mellin import mellin_term
-
-from .conftest import fractions, radial_functions
+from .conftest import fractions, mellin_term, radial_functions
 
 
 def test_power_table():

@@ -39,6 +39,9 @@ def test_pole_free_scalar_function_renders():
     lifted = f.scale(Coeff.const(1))
     assert str(f) == str(lifted) == "1"
     assert f.to_json() == lifted.to_json()
+    # and with a pole: 2 + 3/(z+1)^2, whose numerator is lifted to Coeffs too
+    g = RationalFn({(1, 2): 3, 0: 2})
+    assert str(g) == str(g.scale(Coeff.const(1))) == "(2*z^2 + 4*z + 5)/(z+1)^2"
 
 
 def test_operands_are_rational_functions():
@@ -124,6 +127,27 @@ def test_scalar_product_lifted_equals_coeff_product(a, b, ca, cb, beta):
     assert lifted == a.scale(ca) * b.scale(cb).shift(beta)
     assert all(isinstance(c, Coeff) for c in lifted.terms.values())
     assert a.scale(Coeff.const(1)) == RationalFn({k: Coeff.const(c) for k, c in a.terms.items()})
+
+
+def _den_poly(den) -> RationalFn:
+    """The monic polynomial prod (z+q)^m over den[q] = m, built by RationalFn products."""
+    out = RationalFn.one
+    for q, m in den.items():
+        for _ in range(m):
+            out = out * RationalFn.linear(q)
+    return out
+
+
+@given(st.one_of(rational_functions(), scalar_rational_functions()), coeffs(), pole_values,
+       st.integers(1, 3))
+@settings(deadline=None, max_examples=60)
+def test_num_from_cofactors_equals_the_product_with_den(fn, c, q, j):
+    # num is built from dense cofactors; the reference is the RationalFn product with den.
+    # A product keeps the value kind, and the factor makes q a repeated pole.
+    for g in (fn, fn.scale(c), fn * RationalFn({(q, j): 1, (q, j + 1): 2})):
+        num = g.num
+        assert num == (g * _den_poly(g.den)).poly_part
+        assert all(isinstance(v, Coeff) for v in num.terms.values())
 
 
 def test_partial_fractions_simple():

@@ -20,10 +20,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from htoeplitz import Coeff, RadialFunction, RationalFn, mellin
-from htoeplitz.mellin import mellin_term
 from htoeplitz.ratfun import _rational_root
+from htoeplitz.toeplitz import _Entries
 
-from .conftest import fractions, pole_values, quotient, rational_functions, scalar_coeffs
+from .conftest import (fractions, mellin_term, pole_values, quotient, rational_functions,
+                       scalar_coeffs)
 
 z = sympy.Symbol("z")
 K, _ = sympy.field("z", sympy.QQ_I)
@@ -152,10 +153,14 @@ def test_rational_roots_against_sympy(p):
 
 
 def test_mellin_table_against_integral():
-    # phihat(s) = int_0^1 r^{s+a-1} (ln r)^b dr, read from the transform and by mellin_term
+    # phihat(s) = int_0^1 r^{s+a-1} (ln r)^b dr, read from the transform, by mellin_term
+    # and by the integer column kernel, where e^{i(s-2) theta} r^a (ln r)^b maps 1 to
+    # 2(s-1) phihat(s) z^(s-2)
     r = sympy.Symbol("r", positive=True)
     for a, b, s in [(-1, 0, 3), (-1, 2, 4), (0, 1, 3), (0, 3, 2), (2, 1, 4), (2, 2, 3),
                     (5, 0, 3), (5, 1, 2)]:
         exact = sympy.integrate(r ** (s + a - 1) * sympy.log(r) ** b, (r, 0, 1))
         assert _num(mellin(RadialFunction.term(1, a, b)).evaluate_at(s)) == exact
         assert _rat(mellin_term(Fraction(a), b, s)) == exact
+        re, im, den = _Entries(s - 2, [(Fraction(a), b, 1)])[0]
+        assert sympy.Rational(re, den) + sympy.I * sympy.Rational(im, den) == 2 * (s - 1) * exact

@@ -11,6 +11,7 @@ from htoeplitz import (
     GaussianRational,
     HarmonicVector,
     NonIntegrableSymbolError,
+    PoleError,
     RadialFunction,
     RationalFn,
     Symbol,
@@ -28,7 +29,8 @@ from htoeplitz import toeplitz
 from htoeplitz.exactalg import Terms
 from htoeplitz.toeplitz import basis_order, branch_offset, branch_z, generic_residual
 
-from .conftest import coeffs, monomial_z, radial_functions
+from .conftest import (FractionEntries, coeffs, gaussians, monomial_z, radial_functions,
+                       residual_reference)
 
 
 def test_basis_canonicalization():
@@ -328,3 +330,49 @@ def test_verify_commute_witnesses_match_direct_formula(fu, n_max):
         if not res.is_zero():
             expected.append((m, res))
     assert report.witnesses == expected
+
+
+@st.composite
+def _integrable_symbols(draw):
+    """Symbols with complex coefficients, rational exponents a > -2 (such as
+    r^(3/2)), log powers b <= 2 and monomials in C1 and abar_l."""
+    comps = {}
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(-3, 3))
+        q = draw(st.integers(1, 3))
+        a = Fraction(draw(st.integers(-2 * q + 1, 5 * q)), q)
+        c = Coeff.const(draw(gaussians(nonzero=True)))
+        for name in draw(st.lists(st.sampled_from(["C1", "abar1", "abar2"]), max_size=2)):
+            c = c * Coeff.indet(name)
+        term = RadialFunction.term(c, a, draw(st.integers(0, 2)))
+        comps[k] = comps.get(k, RadialFunction.zero) + term
+    return Symbol(comps)
+
+
+@given(_integrable_symbols(), st.integers(-12, 12))
+@settings(deadline=None, max_examples=80)
+def test_integer_entries_match_fraction_reference(f, m):
+    # each entry is an integer triple (re, im, den > 0) whose value is the Fraction
+    # kernel's, and apply_symbol reads it as that value
+    expected = {}
+    for mu, k, F in toeplitz._pieces(f):
+        x = GaussianRational.coerce(FractionEntries(k, F.terms)[m])
+        assert F[m][2] > 0 and toeplitz._value(F[m]) == x
+        expected[m + k] = expected.get(m + k, Coeff()) + Coeff({mu: x})
+    assert apply_symbol(f, m) == HarmonicVector(expected)
+
+
+@given(_integrable_symbols(), _integrable_symbols(), st.integers(-12, 12))
+@settings(deadline=None, max_examples=80)
+def test_integer_residual_matches_fraction_reference(f, u, m):
+    assert commutator_residual(f, u, m) == residual_reference(f, u, m)
+    assert commutator_residual(f, f, m).is_zero()
+
+
+def test_entry_pole_guard():
+    # integrability keeps s + a > 0; past it the kernel refuses the pole as the transform does
+    with pytest.raises(PoleError) as point:
+        toeplitz._Entries(0, [(Fraction(-2), 1, Fraction(1, 3))])[0]
+    with pytest.raises(PoleError) as whole:
+        mellin(RadialFunction.term(1, -2, 1)).evaluate_at(2)
+    assert point.value.q == whole.value.q == 2
