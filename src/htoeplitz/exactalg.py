@@ -90,9 +90,6 @@ class GaussianRational:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         if isinstance(other, GaussianRational):
             c, d = other.re, other.im
@@ -120,9 +117,6 @@ class GaussianRational:
             (self.re * other.re + self.im * other.im) / n,
             (self.im * other.re - self.re * other.im) / n,
         )
-
-    def __rtruediv__(self, other):
-        return GaussianRational(other) / self
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -223,9 +217,6 @@ class Terms:
     def __sub__(self, other):
         other = self.coerce(other)
         return NotImplemented if other is NotImplemented else self + (-other)
-
-    def __rsub__(self, other):
-        return -self + other
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -181,11 +181,8 @@ class _Parser:
         return sign * int(val)
 
     def parse_scalar(self) -> GaussianRational:
-        """A rendered scalar: 3, 31/4, 2i, -1/3i; the sign is handled upstream."""
-        kind, val, pos = self.next()
-        if kind != "int":
-            raise ParseError(f"expected a number, found {val or 'end of input'!r}", pos)
-        x = Fraction(int(val))
+        """A rendered scalar from an int token: 3, 31/4, 2i, -1/3i; the sign is upstream."""
+        x = Fraction(int(self.next()[1]))
         if (self.peek()[1] == "/" and self.tokens[self.i + 1][0] == "int"):
             self.next()
             x /= self.parse_divisor()

@@ -54,10 +54,6 @@ class HarmonicVector(Terms):
 
     __slots__ = ()
 
-    @staticmethod
-    def basis(m: int, c=ONE) -> "HarmonicVector":
-        return HarmonicVector({m: Coeff.coerce(c)})
-
     def __str__(self):
         return render_sum(
             render_term(self.terms[m], basis_label(m) if m else "")

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from htoeplitz import (Coeff, GaussianRational, HarmonicVector, PoleError, RadialFunction,
-                       RationalFn, Symbol)
+from htoeplitz import (ANALYTIC, Coeff, GaussianRational, HarmonicVector, PoleError,
+                       RadialFunction, RationalFn, Symbol, constraint_at_offset,
+                       solve_telescoping, u_symbol)
 from htoeplitz.exactalg import _mono_mul
 from htoeplitz.toeplitz import _pieces
 
@@ -55,6 +56,20 @@ def radial_functions(draw, a_min=-6, a_max=8, b_max=3, scalar=True):
         c = draw(scalar_coeffs(nonzero=True) if scalar else coeffs())
         phi = phi + RadialFunction.term(c, a, b)
     return phi
+
+
+def basis(m: int, c=1) -> HarmonicVector:
+    """c e_m, with c a scalar or a Coeff."""
+    return HarmonicVector({m: Coeff.coerce(c)})
+
+
+def commute_with_Tz_solve(p: int) -> RadialFunction:
+    """The radial phi with [T_{e^{ip theta} phi}, T_z] = 0: phi = C r^p.
+
+    This is the analytic stage of degree p for u = z with nothing known,
+    an equation with an empty right side.
+    """
+    return solve_telescoping(constraint_at_offset(u_symbol(0), Symbol(), p, ANALYTIC))[1]
 
 
 def monomial_z(n: int, coeff=1) -> Symbol:

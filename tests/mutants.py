@@ -167,6 +167,18 @@ MUTANTS = [
     Mutant("known component paired with u at degree g - k_f", "derive.py",
            "j = g + 1 - kf", "j = g - kf",
            killer="tests/test_golden_reports.py::test_golden_report[derive-L1]"),
+    Mutant("_check_u accepts a constant term in u", "derive.py",
+           "if k != 1 and k >= 0:", "if k != 1 and k > 0:",
+           killer="tests/test_derive.py::test_derivation_refusals[u-with-constant]"),
+    Mutant("conjugate side accepts degree 0", "derive.py",
+           "if g >= 0:", "if g > 0:",
+           killer="tests/test_derive.py::test_derivation_refusals[conjugate-side-at-0]"),
+    Mutant("_find_shift without its one-sided check", "derive.py",
+           "if not (fa and fb):", "if False:",
+           killer="tests/test_derive.py::test_find_shift_reads_poles"),
+    Mutant("_force_constants without its final integrability check", "derive.py",
+           "if not phi.is_integrable():", "if False:",
+           killer="tests/test_derive.py::test_derivation_refusals[force-(C1+1)r^-3]"),
     # the stage loop (derive.run_pipeline)
     Mutant("analytic side stops at degree -1", "derive.py",
            "ANALYTIC if g >= -2 else CONJUGATE", "ANALYTIC if g >= -1 else CONJUGATE",

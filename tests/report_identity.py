@@ -49,7 +49,7 @@ RADIALS = ["r^4*ln(r)", "1", "r^-1", "3/2*r^(1/2)*ln(r)^2", "r^-4",
 RATIONALS = ["-1/(z+4)^2", "(z+2)/(z^2+6*z+8)", "z+1", "1/z", "1/(z+10000000000000000)",
              "1/((z+123456789012345678901234567890)*(z+1))",
              "1/(z^2+1)", "1/(z-z)", "1/(abar1*z+1)", "(z^2+1)^-1", "1/0", "", "z^", "((z)",
-             "1/(963761198400*z^2+z+963761198400)", "z3", "(z+1)^-2"]
+             "1/(963761198400*z^2+z+963761198400)", "z3", "(z+1)^-2", "1/abar1"]
 VECTORS = ["1", "z", "z^3", "zbar^2", "conj(z)", "z^-1", "zbar^0", "x", ""]
 
 # runs in the child: argvs as JSON in argv[1], one record per argv as JSON on stdout

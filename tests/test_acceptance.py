@@ -23,7 +23,6 @@ from htoeplitz import (
     apply_numeric,
     apply_quasi,
     commutator_residual,
-    commute_with_Tz_solve,
     compare,
     inverse_mellin,
     mellin,
@@ -35,7 +34,7 @@ from htoeplitz import (
 )
 from htoeplitz.derive import FunctionalEquation, TelescopeError, _force_constants
 
-from .conftest import bind_eval, quotient
+from .conftest import bind_eval, commute_with_Tz_solve, quotient
 
 SEED = int(os.environ.get("HTOEPLITZ_SEED", "0"))
 

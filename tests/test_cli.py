@@ -267,21 +267,24 @@ def test_integrable_boundary_still_applies(capsys):
     assert report["result"]["image"] == {"z": "4/3"}
 
 
-@pytest.mark.parametrize(
-    "expr, column",
-    [
-        ("1/0", 3),              # zero literal denominator
-        ("r^(1/0)", 6),          # zero exponent denominator
-        ("1/(z-z)", 3),          # divisor that cancels to 0
-        ("1/(z^2+1)", 3),        # divisor with no rational root
-        ("1/(abar1*z+1)", 3),    # divisor with a symbolic root
-        ("(z^2+1)^-1", 1),       # the same through a negative power
-        # a quadratic divisor with no real root, whose end coefficients have
-        # too many divisors to try them all
-        ("1/(963761198400*z^2+z+963761198400)", 3),
-    ],
-)
-def test_bad_divisor_is_usage_error(capsys, expr, column):
+_BAD_DIVISORS = [
+    ("1/0", 3, "division by zero"),              # zero literal denominator
+    ("r^(1/0)", 6, "division by zero"),          # zero exponent denominator
+    ("1/(z-z)", 3, "division by zero"),          # divisor that cancels to 0
+    ("1/(z^2+1)", 3, "no rational root"),        # divisor with no rational root
+    ("1/(abar1*z+1)", 3, "no rational root"),    # divisor with a symbolic root
+    ("(z^2+1)^-1", 1, "no rational root"),       # the same through a negative power
+    # a quadratic divisor with no real root, whose end coefficients have
+    # too many divisors to try them all
+    ("1/(963761198400*z^2+z+963761198400)", 3, "no rational root"),
+    # a divisor of degree 0 that is not a scalar
+    ("1/abar1", 3, "divisor must reduce to a scalar times linear factors"),
+]
+
+
+@pytest.mark.parametrize("expr, column, message", _BAD_DIVISORS,
+                         ids=[f"{expr}-{column}" for expr, column, _ in _BAD_DIVISORS])
+def test_bad_divisor_is_usage_error(capsys, expr, column, message):
     command = "mellin" if expr.startswith("r") else "invmellin"
     start = time.perf_counter()
     code = main([command, expr])
@@ -289,6 +292,7 @@ def test_bad_divisor_is_usage_error(capsys, expr, column):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
+    assert message in captured.err
     assert f"(column {column})" in captured.err
 
 

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from htoeplitz import (
     ANALYTIC,
+    CONJUGATE,
+    C,
     Coeff,
     FunctionalEquation,
     GaussianRational,
@@ -15,7 +17,6 @@ from htoeplitz import (
     Symbol,
     TelescopeError,
     antidifference,
-    commute_with_Tz_solve,
     constraint_at_offset,
     mellin,
     reproduce_lemma,
@@ -24,10 +25,10 @@ from htoeplitz import (
     u_symbol,
 )
 from htoeplitz import derive
-from htoeplitz.derive import _find_shift, _force_constants, _satisfies
+from htoeplitz.derive import _check_u, _find_shift, _force_constants, _satisfies
 from htoeplitz.toeplitz import branch_offset, branch_z, generic_residual
 
-from .conftest import rational_functions, scalar_coeffs
+from .conftest import commute_with_Tz_solve, rational_functions, scalar_coeffs
 
 
 @st.composite
@@ -110,6 +111,34 @@ def test_solver_rejects_corrupted_inverse(monkeypatch):
     )
     with pytest.raises(TelescopeError, match="soundness"):
         solve_telescoping(eq)
+
+
+_Z = RadialFunction.term(1, 1)
+_G_LINEAR = RationalFn.poly({1: 1})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: solve_telescoping(FunctionalEquation(
+        Fraction(4), Fraction(3), _G_LINEAR, _G_LINEAR.shift(2) - _G_LINEAR, "C1")),
+        TelescopeError, "G incompatible with shape", id="G-with-polynomial-part"),
+    pytest.param(lambda: _check_u(Symbol({-1: _Z})),
+                 TelescopeError, "must have analytic part z", id="u-without-z"),
+    pytest.param(lambda: _check_u(Symbol({1: _Z, 2: RadialFunction.term(1, 2)})),
+                 TelescopeError, "only add co-analytic terms", id="u-with-z2"),
+    pytest.param(lambda: _check_u(Symbol({1: _Z, 0: RadialFunction.term(1, 0)})),
+                 TelescopeError, "only add co-analytic terms", id="u-with-constant"),
+    pytest.param(lambda: constraint_at_offset(u_symbol(1), Symbol(), 0, CONJUGATE),
+                 TelescopeError, "requires negative degree", id="conjugate-side-at-0"),
+    pytest.param(lambda: _force_constants(RadialFunction.term(1, -3)),
+                 TelescopeError, "has no removable constant", id="force-scalar-r^-3"),
+    pytest.param(lambda: _force_constants(RadialFunction.term(C(1) + Coeff.const(1), -3)),
+                 TelescopeError, "still non-integrable after forcing", id="force-(C1+1)r^-3"),
+    pytest.param(lambda: run_pipeline(u_symbol(1), 1, 3),
+                 ValueError, "N_start must be >= 2", id="N_start-1"),
+])
+def test_derivation_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_commute_with_Tz():
@@ -219,6 +248,9 @@ def test_find_shift_reads_poles(B, m):
         assert _find_shift(B.shift(2 * m), B) == m
         assert _find_shift(B.shift(2 * m + 1), B) is None
         assert _find_shift(B.shift(2 * m) + RationalFn.fraction(1, 99), B) is None
+        # B(z + 2m) has poles exactly when B has, so a pole-free side matches no shift
+        assert _find_shift(B, B.poly_part) is None
+        assert _find_shift(B.poly_part, B) is None
     else:
         assert _find_shift(B, B) == 0
         assert _find_shift(RationalFn.fraction(1, 0), B) is None

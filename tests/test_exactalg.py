@@ -29,6 +29,8 @@ def test_names():
     for bad in ("C01", "C00", "Cm0", "abar01", "abar0"):
         with pytest.raises(ValueError):
             indet_key(bad)
+    with pytest.raises(ValueError, match="abar index must be >= 1"):
+        aname(0)
     assert is_constant_name("C1")
     assert is_constant_name("Cm4")
     assert not is_constant_name("abar2")
@@ -59,6 +61,8 @@ def test_gaussian_ring_laws(a, b, c):
 def test_gaussian_division(a):
     assert a / a == GaussianRational(1)
     assert (GaussianRational(1) / a) * a == GaussianRational(1)
+    with pytest.raises(ZeroDivisionError):
+        a / 0
 
 
 @given(coeffs(), coeffs(), coeffs())
@@ -82,6 +86,13 @@ def test_coeff_bind():
     assert abs(val - (1j + 3)) < 1e-15
     with pytest.raises(UnboundIndeterminateError):
         x.bind({"C1": 1.0})
+
+
+def test_coeff_scalar():
+    assert Coeff.const(Fraction(1, 3)).scalar() == Fraction(1, 3)
+    assert Coeff().scalar() == 0
+    with pytest.raises(ValueError, match="not a scalar Coeff: C1"):
+        C(1).scalar()
 
 
 def test_coeff_str():

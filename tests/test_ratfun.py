@@ -95,6 +95,8 @@ def test_affine_substitute():
     f = RationalFn.fraction(1, 4)
     g = f.affine_substitute(2, 2)
     assert g == RationalFn.fraction(Fraction(1, 2), 3)
+    with pytest.raises(ValueError, match="alpha must be nonzero"):
+        f.affine_substitute(0, 1)
 
 
 def test_shift():

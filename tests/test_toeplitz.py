@@ -29,7 +29,7 @@ from htoeplitz import toeplitz
 from htoeplitz.exactalg import Terms
 from htoeplitz.toeplitz import basis_order, branch_offset, branch_z, generic_residual
 
-from .conftest import (FractionEntries, coeffs, gaussians, monomial_z, radial_functions,
+from .conftest import (FractionEntries, basis, coeffs, gaussians, monomial_z, radial_functions,
                        residual_reference)
 
 
@@ -44,25 +44,25 @@ def test_basis_canonicalization():
 def test_analytic_action():
     # T_{z^3} z = z^4
     out = apply_quasi(3, RadialFunction.term(1, 3), 1)
-    assert out == HarmonicVector.basis(4)
+    assert out == basis(4)
 
 
 def test_mixed_action():
     # T_{zbar} z = Q(r^2) = 1/2
     out = apply_quasi(-1, RadialFunction.term(1, 1), 1)
-    assert out == HarmonicVector.basis(0, Fraction(1, 2))
+    assert out == basis(0, Fraction(1, 2))
 
 
 def test_below_threshold_analytic():
     # T_{zbar^3} z lands on the conjugate side
     out = apply_quasi(-3, RadialFunction.term(1, 3), 1)
-    assert out == HarmonicVector.basis(-2, Fraction(3, 4))
+    assert out == basis(-2, Fraction(3, 4))
 
 
 def test_below_threshold_conjugate():
     # T_{z^3} zbar crosses back to the analytic side
     out = apply_quasi(3, RadialFunction.term(1, 3), -1)
-    assert out == HarmonicVector.basis(2, Fraction(3, 4))
+    assert out == basis(2, Fraction(3, 4))
 
 
 def _z(n):
@@ -120,7 +120,7 @@ def test_zero_symbol_acts_as_zero():
 def test_constant_symbol_is_identity_scalar():
     one = Symbol({0: RadialFunction.const(1)})
     for m in (_z(0), _z(3), _zbar(2)):
-        assert apply_symbol(one, m) == HarmonicVector.basis(m)
+        assert apply_symbol(one, m) == basis(m)
 
 
 def _apply(f, w):
@@ -145,7 +145,7 @@ def test_commutator_witness():
     f = monomial_z(2)
     u = u_symbol(1)
     res = commutator_residual(f, u, _z(1))
-    assert res == HarmonicVector.basis(_z(2), abar(1).scale(Fraction(-1, 4)))
+    assert res == basis(_z(2), abar(1).scale(Fraction(-1, 4)))
 
 
 def test_witnesses_cover_the_range_up_to_the_threshold():
@@ -258,7 +258,7 @@ def test_compose_generic_consistency():
     u = u_symbol(2)
     f = u * u + monomial_z(1, Coeff.indet("C1"))
     n = 7   # at least 1 + K_f + K_u, so every entry holds
-    e_n = HarmonicVector.basis(_z(n))
+    e_n = basis(_z(n))
     direct = _apply(f, _apply(u, e_n)) - _apply(u, _apply(f, e_n))
     comp = generic_residual(f, u, ANALYTIC).terms
     assert comp
@@ -324,7 +324,7 @@ def test_verify_commute_witnesses_match_direct_formula(fu, n_max):
     top = max(n_max, report.threshold)
     expected = []
     for m in [_z(n) for n in range(top + 1)] + [_zbar(n) for n in range(1, top + 1)]:
-        e_m = HarmonicVector.basis(m)
+        e_m = basis(m)
         res = _apply_direct(f, _apply_direct(u, e_m)) - _apply_direct(u, _apply_direct(f, e_m))
         assert commutator_residual(f, u, m) == res
         if not res.is_zero():

@@ -16,8 +16,14 @@ statement, the whole of a simple one) that carries bytecode ran; lines with
 no bytecode, such as a function's docstring, are not statements here.  Code
 that only a subprocess runs (the demos, the benchmark smoke run) is not seen.
 The tracer is installed before ``htoeplitz`` is first imported, so import-time
-statements count.  The report is information: the script exits 0 whatever it
-finds, and 2 only if it could not run.
+statements count.
+
+The list of statements that never ran is information.  The functions that
+only Tier-1 reaches are checked against ``TIER1_ONLY``, which names each one
+that is kept with its reason.  The script exits 1 when another function is
+reached only by Tier-1 (move it to the tests, or delete it), or when a name
+in ``TIER1_ONLY`` is stale: a request reaches it, or Tier-1 does not.  It
+exits 0 otherwise, and 2 if it could not run.
 
 The name has no test_ prefix, so pytest does not collect this file.  It uses
 the standard library and pytest only.
@@ -37,6 +43,21 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PKG = ROOT / "src" / "htoeplitz"
+
+# "file:qualname" of each function that only Tier-1 may reach, and why it stays
+TIER1_ONLY = {
+    "cli.py:_int_at_least": "builds the flag types of the parser, which Tier-1 builds "
+                            "first and main caches for the rest of the process",
+    "cli.py:build_parser": "the same cached parser",
+    "exactalg.py:GaussianRational.__sub__": "ring arithmetic that the tests use",
+    "exactalg.py:GaussianRational.__hash__": "the hash protocol of a value with __eq__",
+    "exactalg.py:Terms.__hash__": "the hash protocol of a value with __eq__",
+    "exactalg.py:Terms.__setattr__": "the immutability guard",
+    "exactalg.py:UnboundIndeterminateError.__init__": "the constructor of a typed error",
+    "ratfun.py:PoleError.__init__": "the constructor of a typed error",
+    "ratfun.py:RationalFn.evaluate_at": "bench/spans.py reads it by name",
+    "ratfun.py:RationalFn.partial_fractions": "bench/spans.py reads it by name",
+}
 
 
 class _Tracer:
@@ -149,10 +170,17 @@ def main() -> int:
             print(f"{path.relative_to(ROOT)}:{line}: {text}")
     print("\nfunctions that only Tier-1 reaches:")
     only = tracer.calls.get("tests", set()) - tracer.calls.get("requests", set())
+    seen = set()
     for filename, line, name in sorted(only):
-        print(f"{Path(filename).relative_to(ROOT)}:{line}: {name}")
+        key = f"{Path(filename).name}:{name}"
+        seen.add(key)
+        print(f"{Path(filename).relative_to(ROOT)}:{line}: {name}"
+              + ("" if key in TIER1_ONLY else "  NOT ALLOWED"))
+    stale = sorted(set(TIER1_ONLY) - seen)
+    for key in stale:
+        print(f"stale allow-list entry: {key}")
     print(f"\nrun time {elapsed:.0f} s")
-    return 0
+    return 1 if stale or seen - set(TIER1_ONLY) else 0
 
 
 if __name__ == "__main__":
