@@ -17,6 +17,11 @@ which is T_f e_m, and the concrete residual read it, and ``apply_quasi`` is
 ``apply_symbol`` on one component e^{ik theta} phi.  Its entries are integer
 triples (re, im, den), summed fraction-free; the concrete residual tests a
 sum for zero by its numerator and builds a Fraction only for a nonzero one.
+``verify_commute`` certifies the generic half from the same concrete
+residuals: each generic entry is P/Q with deg P <= deg Q = D, Q read from the
+pieces' pole keys (``_degree_bounds``), so it is identically zero once it
+vanishes at the D + 1 indices from the threshold up; ``generic_residual``
+composes the entries symbolically only for a failing report.
 """
 
 from __future__ import annotations
@@ -290,6 +295,58 @@ def generic_residual(f: Symbol, u: Symbol, side: str) -> Terms:
     return Terms({d: fn.affine_substitute(2, 0) for d, fn in out.items() if fn})
 
 
+def _pole_keys(F: _Entries, k: int, side: str) -> tuple:
+    """(d, poles) of one piece: its offset and the poles q -> multiplicity of its
+    generic coefficient in z = 2n, each term r^a (ln r)^b putting (z+q)^(b+1) at
+    q = a+d+2 (``branch_z``), with no RationalFn built; an integral q is an int,
+    which the pair loop adds and hashes faster than a Fraction."""
+    d, poles = branch_offset(side, k), {}
+    for a, b, _ in F.terms:
+        q = a + d + 2
+        q = q.numerator if q.denominator == 1 else q
+        poles[q] = max(poles.get(q, 0), b + 1)
+    return d, poles
+
+
+def _product_poles(b: dict, a: dict, shift: int) -> dict:
+    """Poles of B(z) A(z + shift): those of A move by shift, multiplicities add."""
+    out = dict(b)
+    for q, e in a.items():
+        out[q + shift] = out.get(q + shift, 0) + e
+    return out
+
+
+def _degree_bounds(pairs: list, side: str) -> dict:
+    """(offset d, monomial mu) -> D_{d,mu}, the degree of the lcm Q of the
+    denominators of the products that reach the generic entry R_{d,mu}: both
+    compositions of each piece pair (``_pairs``), as in ``_compose``.  Each
+    product is bounded at infinity, so R_{d,mu} = P/Q with deg P <= D_{d,mu}."""
+    keys: dict = {}   # id of a piece's entries -> its (d, poles), read once
+    lcms: dict = {}
+    for F, kf, U, ku, mono in pairs:
+        for E, k in ((F, kf), (U, ku)):
+            if id(E) not in keys:
+                keys[id(E)] = _pole_keys(E, k, side)
+        (df, pf), (du, pu) = keys[id(F)], keys[id(U)]
+        den = lcms.setdefault((df + du, mono), {})
+        for poles in (_product_poles(pu, pf, 2 * du), _product_poles(pf, pu, 2 * df)):
+            for q, e in poles.items():
+                if e > den.get(q, 0):
+                    den[q] = e
+    return {key: sum(den.values()) for key, den in lcms.items()}
+
+
+def _generic_zero_by_values(pairs: list, n_star: int, top: int) -> bool:
+    """Whether every generic entry is identically zero, given that the concrete
+    residual vanishes at every index up to top >= n0*: on each side it must also
+    vanish at n = top+1, ..., n0* + max D_{d,mu} (``_degree_bounds``)."""
+    for side, sign in ((ANALYTIC, 1), (CONJUGATE, -1)):
+        last = n_star + max(_degree_bounds(pairs, side).values(), default=0)
+        if any(not _residual(pairs, sign * n).is_zero() for n in range(top + 1, last + 1)):
+            return False
+    return True
+
+
 @dataclass
 class CommutationReport:
     commutes: bool
@@ -323,16 +380,24 @@ class CommutationReport:
 def verify_commute(f: Symbol, u: Symbol, n_max: int) -> CommutationReport:
     """Certify [T_f, T_u] = 0 on the whole basis.
 
-    Generic residuals (rational in n) cover every index n >= n0*, where
+    Concrete residuals cover every index up to top = max(n_max, n0*), each as
+    one scalar per (output index, monomial) from column entries computed once
+    per call (``_residual``).  The generic half covers every n >= n0*, where
     n0* = K_f + K_u + 1 exceeds any index at which a below-threshold branch
-    can contribute to either composition; concrete residuals cover all
-    indices up to max(n_max, n0*), each as one scalar per (output index,
-    monomial) from column entries computed once per call (``_residual``).
+    can contribute to either composition: there the residual on e_{+-n} has the
+    entry R_{d,mu}(2n) at e_{+-(n+d)} and monomial mu.  R_{d,mu} = P/Q with
+    deg P <= deg Q = D_{d,mu} (``_degree_bounds``).  At z = 2n, n >= n0*, each
+    factor z + q of Q is the s + a > 0 of a column entry, so R_{d,mu} is
+    identically zero exactly when it vanishes at n0*, ..., n0* + D_{d,mu}:
+    D + 1 roots of a polynomial P of degree <= D.  With no witness up to top,
+    those values are read from the same concrete kernel, and the symbol split
+    once (``_generic_zero_by_values``).  Only a failing report composes the
+    generic residuals symbolically (``generic_residual``), so that it can print
+    them.
     """
     _check_integrable(f)
     _check_integrable(u)
     n_star = f.max_abs_degree() + u.max_abs_degree() + 1
-    generic = {side: generic_residual(f, u, side) for side in (ANALYTIC, CONJUGATE)}
     top = max(n_max, n_star)
     pairs = _pairs(f, u)
     witnesses = []
@@ -340,6 +405,10 @@ def verify_commute(f: Symbol, u: Symbol, n_max: int) -> CommutationReport:
         res = _residual(pairs, m)
         if not res.is_zero():
             witnesses.append((m, res))
+    if witnesses or not _generic_zero_by_values(pairs, n_star, top):
+        generic = {side: generic_residual(f, u, side) for side in (ANALYTIC, CONJUGATE)}
+    else:
+        generic = {side: Terms() for side in (ANALYTIC, CONJUGATE)}
     return CommutationReport(
         commutes=not any(generic.values()) and not witnesses,
         threshold=n_star,

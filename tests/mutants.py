@@ -79,6 +79,32 @@ MUTANTS = [
     Mutant("generic residual left in z = 2n, not mapped to n", "toeplitz.py",
            "fn.affine_substitute(2, 0) for d", "fn for d",
            killer="tests/test_toeplitz.py::test_compose_generic_consistency"),
+    # the generic half read from values (toeplitz._degree_bounds, _generic_zero_by_values)
+    Mutant("degree bound one short: the scan past top stops at n0* + D - 1", "toeplitz.py",
+           "range(top + 1, last + 1)", "range(top + 1, last)",
+           killer="tests/test_toeplitz.py::"
+                  "test_value_at_the_last_index_sends_the_report_to_composition[analytic]"),
+    Mutant("degree bound one short: D_{d,mu} = deg Q - 1", "toeplitz.py",
+           "return {key: sum(den.values()) for key, den in lcms.items()}",
+           "return {key: sum(den.values()) - 1 for key, den in lcms.items()}",
+           killer="tests/test_toeplitz.py::test_degree_bounds_by_hand[z^2]"),
+    Mutant("product poles shifted by d_B, not 2d_B", "toeplitz.py",
+           "(_product_poles(pu, pf, 2 * du), _product_poles(pf, pu, 2 * df))",
+           "(_product_poles(pu, pf, du), _product_poles(pf, pu, df))",
+           killer="tests/test_toeplitz.py::test_degree_bounds_by_hand[z^2]"),
+    Mutant("product multiplicities maxed, not added", "toeplitz.py",
+           "out[q + shift] = out.get(q + shift, 0) + e",
+           "out[q + shift] = max(out.get(q + shift, 0), e)",
+           killer="tests/test_toeplitz.py::test_degree_bounds_by_hand[z^2]"),
+    Mutant("scan past top on the analytic side only", "toeplitz.py",
+           "for side, sign in ((ANALYTIC, 1), (CONJUGATE, -1)):",
+           "for side, sign in ((ANALYTIC, 1),):",
+           killer="tests/test_toeplitz.py::"
+                  "test_value_at_the_last_index_sends_the_report_to_composition[conjugate]"),
+    Mutant("generic residual composed only on a witness", "toeplitz.py",
+           "if witnesses or not _generic_zero_by_values(pairs, n_star, top):",
+           "if witnesses:",
+           killer="tests/test_toeplitz.py::test_generic_residual_alone_refutes_commutation"),
     # the symbol u = z + sum abar_l zbar^l
     Mutant("u_symbol without its abar factor", "toeplitz.py",
            "RadialFunction.term(Coeff.indet(aname(l)), l)", "RadialFunction.term(1, l)",

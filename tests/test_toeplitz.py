@@ -179,13 +179,82 @@ def test_noncommuting_verdict():
 
 
 def test_generic_residual_alone_refutes_commutation(monkeypatch):
-    # with every concrete residual stubbed to zero, the generic certificate
-    # must still reject z^2 against z + abar1 zbar on its own
-    monkeypatch.setattr(toeplitz, "_residual", lambda *args: HarmonicVector())
-    report = verify_commute(monomial_z(2), u_symbol(1), n_max=8)
+    # with every concrete residual up to top = n0* = 4 stubbed to zero, no
+    # witness is left, and the generic half must still reject z^2 against
+    # z + abar1 zbar on its own, from the values past top
+    residual, top = toeplitz._residual, 4
+    monkeypatch.setattr(toeplitz, "_residual",
+                        lambda pairs, m: HarmonicVector() if abs(m) <= top else residual(pairs, m))
+    report = verify_commute(monomial_z(2), u_symbol(1), n_max=0)
+    assert report.threshold == top
     assert report.witnesses == []
     assert set(report.generic_nonzero) == {(ANALYTIC, 1), (CONJUGATE, -1)}
     assert not report.commutes
+
+
+A1 = (("abar1", 1),)   # the monomial abar1
+
+# D_{d,mu} per side, by hand from the pole keys.  On the analytic side z^2 has
+# poles {6: 1} at d = 2, z has {4: 1} at d = 1 and abar1 zbar {2: 1} at d = -1
+# (q = a + d + 2); B(z) A(z + 2d_B) moves A's poles by 2d_B and adds
+# multiplicities, and an entry takes the lcm over its products.  So (z^2, z)
+# reaches offset 3 by {4: 1, 8: 1} and {6: 1, 8: 1}, lcm degree 3, and
+# (z^2, abar1 zbar) offset 1 by {2: 1, 4: 1} and {6: 2}, degree 4.  ln r is
+# {2: 2} at d = 0, so (ln r, z) gives {4: 3} and {2: 2, 4: 1}, degree 5.
+DEGREE_BOUNDS = [
+    ("z^2", monomial_z(2), u_symbol(1),
+     {ANALYTIC: {(3, ()): 3, (1, A1): 4}, CONJUGATE: {(-3, ()): 3, (-1, A1): 4}}),
+    ("ln r", Symbol({0: RadialFunction.term(1, 0, 1)}), u_symbol(1),
+     {ANALYTIC: {(1, ()): 5, (-1, A1): 5}, CONJUGATE: {(-1, ()): 5, (1, A1): 5}}),
+    ("u", u_symbol(1), u_symbol(1),
+     {ANALYTIC: {(2, ()): 2, (0, A1): 4, (-2, (("abar1", 2),)): 2},
+      CONJUGATE: {(-2, ()): 2, (0, A1): 4, (2, (("abar1", 2),)): 2}}),
+]
+
+
+@pytest.mark.parametrize("f, u, expected", [row[1:] for row in DEGREE_BOUNDS],
+                         ids=[row[0] for row in DEGREE_BOUNDS])
+def test_degree_bounds_by_hand(f, u, expected):
+    pairs = toeplitz._pairs(f, u)
+    for side in (ANALYTIC, CONJUGATE):
+        assert toeplitz._degree_bounds(pairs, side) == expected[side]
+
+
+def _spy_generic_residual(monkeypatch) -> list:
+    """The sides of every generic_residual call that verify_commute makes."""
+    calls, original = [], toeplitz.generic_residual
+    monkeypatch.setattr(toeplitz, "generic_residual",
+                        lambda f, u, side: calls.append(side) or original(f, u, side))
+    return calls
+
+
+def test_certified_report_composes_nothing(monkeypatch):
+    calls = _spy_generic_residual(monkeypatch)
+    report = verify_commute(u_symbol(1), u_symbol(1), n_max=0)
+    assert report.commutes and report.generic_nonzero == []
+    assert calls == []
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["analytic", "conjugate"])
+def test_value_at_the_last_index_sends_the_report_to_composition(monkeypatch, sign):
+    # u against itself has n0* = 3 and D = 4 on both sides (DEGREE_BOUNDS), so
+    # with n_max = 0 the generic half must read the residual at +-7 too
+    residual, last = toeplitz._residual, sign * (3 + 4)
+    monkeypatch.setattr(toeplitz, "_residual", lambda pairs, m: residual(pairs, m) + (
+        basis(last) if m == last else HarmonicVector()))
+    calls = _spy_generic_residual(monkeypatch)
+    verify_commute(u_symbol(1), u_symbol(1), n_max=0)
+    assert calls == [ANALYTIC, CONJUGATE]
+
+
+def test_verify_commute_splits_each_symbol_once(monkeypatch):
+    # the concrete scan, the degree bounds and the scan past top share one split
+    split, pieces = [], toeplitz._pieces
+    monkeypatch.setattr(toeplitz, "_pieces", lambda sym: split.append(sym) or pieces(sym))
+    u = u_symbol(1)
+    f = u * _const(Coeff.indet("C1")) + _const(Coeff.indet("C0"))
+    assert verify_commute(f, u, 5).commutes
+    assert len(split) == 2 and f in split and u in split
 
 
 @given(radial_functions(a_min=0, a_max=5, b_max=1), st.integers(-3, 3),
@@ -228,6 +297,36 @@ def test_generic_residual_matches_concrete(comps, L):
         for n in range(n_star, n_star + 6):
             expect = HarmonicVector({index(n + d): fn.evaluate_at(n) for d, fn in entries.items()})
             assert commutator_residual(f, u, index(n)) == expect
+
+
+@given(st.dictionaries(st.integers(-3, 3), radial_functions(a_min=-1, a_max=4, b_max=1,
+                                                           scalar=False), min_size=1, max_size=3),
+       st.integers(0, 3), st.booleans())
+@settings(deadline=None, max_examples=40)
+def test_degree_bounds_cover_the_generic_entries(comps, L, commuting):
+    """D_{d,mu} bounds the numerator and denominator degree of each symbolic entry
+    R_{d,mu}, and the residuals at n0*, ..., n0* + max D vanish on a side exactly
+    when its entries do, so the verdict read from values is the symbolic one."""
+    u, f = u_symbol(L), Symbol(comps)
+    if commuting:   # the commutant of T_u found by derive
+        f = u * _const(Coeff.indet("C1")) + _const(Coeff.indet("C0"))
+    n_star = f.max_abs_degree() + u.max_abs_degree() + 1
+    pairs = toeplitz._pairs(f, u)
+    symbolic = {}
+    for side, sign in ((ANALYTIC, 1), (CONJUGATE, -1)):
+        bounds = toeplitz._degree_bounds(pairs, side)
+        symbolic[side] = entries = generic_residual(f, u, side).terms
+        for d, fn in entries.items():
+            for mu in {mu for c in fn.terms.values() for mu in c.terms}:
+                part = RationalFn({key: c.terms[mu] for key, c in fn.terms.items() if mu in c.terms})
+                if part:
+                    assert bounds[(d, mu)] >= max(part.num.degree(), sum(part.den.values()))
+        last = n_star + max(bounds.values(), default=0)
+        vanish = all(toeplitz._residual(pairs, sign * n).is_zero() for n in range(n_star, last + 1))
+        assert vanish == (not entries)
+    report = verify_commute(f, u, 0)
+    assert report.commutes == (not any(symbolic.values()) and not report.witnesses)
+    assert {side: entries.terms for side, entries in report.generic.items()} == symbolic
 
 
 @given(st.sampled_from([ANALYTIC, CONJUGATE]), st.integers(-4, 4), st.integers(-1, 5),
