@@ -17,11 +17,11 @@ which is T_f e_m, and the concrete residual read it, and ``apply_quasi`` is
 ``apply_symbol`` on one component e^{ik theta} phi.  Its entries are integer
 triples (re, im, den), summed fraction-free; the concrete residual tests a
 sum for zero by its numerator and builds a Fraction only for a nonzero one.
-``verify_commute`` certifies the generic half from the same concrete
-residuals: each generic entry is P/Q with deg P <= deg Q = D, Q read from the
-pieces' pole keys (``_degree_bounds``), so it is identically zero once it
-vanishes at the D + 1 indices from the threshold up; ``generic_residual``
-composes the entries symbolically only for a failing report.
+``verify_commute`` reads its verdict from concrete residuals alone: each
+generic entry is P/Q with deg P <= deg Q = D, Q read from the pieces' pole
+keys (``_degree_bounds``), so it is identically zero once it vanishes at the
+D + 1 indices from the threshold up.  ``generic_residual`` composes the
+entries symbolically, to print a failing report and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -336,22 +336,11 @@ def _degree_bounds(pairs: list, side: str) -> dict:
     return {key: sum(den.values()) for key, den in lcms.items()}
 
 
-def _generic_zero_by_values(pairs: list, n_star: int, top: int) -> bool:
-    """Whether every generic entry is identically zero, given that the concrete
-    residual vanishes at every index up to top >= n0*: on each side it must also
-    vanish at n = top+1, ..., n0* + max D_{d,mu} (``_degree_bounds``)."""
-    for side, sign in ((ANALYTIC, 1), (CONJUGATE, -1)):
-        last = n_star + max(_degree_bounds(pairs, side).values(), default=0)
-        if any(not _residual(pairs, sign * n).is_zero() for n in range(top + 1, last + 1)):
-            return False
-    return True
-
-
 @dataclass
 class CommutationReport:
     commutes: bool
     threshold: int
-    generic: Dict[str, Terms]        # side -> generic residual, valid from threshold
+    generic: Dict[str, Terms]        # side -> generic residual from threshold; empty if commutes
     witnesses: list = field(default_factory=list)
 
     @property
@@ -378,22 +367,22 @@ class CommutationReport:
 
 
 def verify_commute(f: Symbol, u: Symbol, n_max: int) -> CommutationReport:
-    """Certify [T_f, T_u] = 0 on the whole basis.
+    """Certify [T_f, T_u] = 0 on the whole basis, from concrete residuals alone.
 
-    Concrete residuals cover every index up to top = max(n_max, n0*), each as
-    one scalar per (output index, monomial) from column entries computed once
-    per call (``_residual``).  The generic half covers every n >= n0*, where
-    n0* = K_f + K_u + 1 exceeds any index at which a below-threshold branch
-    can contribute to either composition: there the residual on e_{+-n} has the
-    entry R_{d,mu}(2n) at e_{+-(n+d)} and monomial mu.  R_{d,mu} = P/Q with
+    The residuals are one scalar per (output index, monomial), from column
+    entries computed once per call (``_residual``).  Every index up to
+    top = max(n_max, n0*) is checked, and a nonzero residual is a witness.
+    Above n0* = K_f + K_u + 1 no below-threshold branch can contribute to
+    either composition, so the residual on e_{+-n} has the entry R_{d,mu}(2n)
+    at e_{+-(n+d)} and monomial mu.  R_{d,mu} = P/Q with
     deg P <= deg Q = D_{d,mu} (``_degree_bounds``).  At z = 2n, n >= n0*, each
     factor z + q of Q is the s + a > 0 of a column entry, so R_{d,mu} is
     identically zero exactly when it vanishes at n0*, ..., n0* + D_{d,mu}:
-    D + 1 roots of a polynomial P of degree <= D.  With no witness up to top,
-    those values are read from the same concrete kernel, and the symbol split
-    once (``_generic_zero_by_values``).  Only a failing report composes the
-    generic residuals symbolically (``generic_residual``), so that it can print
-    them.
+    D + 1 roots of a polynomial P of degree <= D.  With no witness the scan
+    goes on past top to n0* + max D on each side, up to its first nonzero
+    value.  ``commutes`` is true exactly when neither scan finds one; n_max
+    only sets how far witnesses are listed, never the verdict.  Only a failing
+    report composes the generic residuals (``generic_residual``), to print them.
     """
     _check_integrable(f)
     _check_integrable(u)
@@ -405,13 +394,13 @@ def verify_commute(f: Symbol, u: Symbol, n_max: int) -> CommutationReport:
         res = _residual(pairs, m)
         if not res.is_zero():
             witnesses.append((m, res))
-    if witnesses or not _generic_zero_by_values(pairs, n_star, top):
-        generic = {side: generic_residual(f, u, side) for side in (ANALYTIC, CONJUGATE)}
-    else:
-        generic = {side: Terms() for side in (ANALYTIC, CONJUGATE)}
+    commutes = not witnesses and not any(
+        _residual(pairs, sign * n) for side, sign in ((ANALYTIC, 1), (CONJUGATE, -1))
+        for n in range(top + 1, n_star + max(_degree_bounds(pairs, side).values(), default=0) + 1))
     return CommutationReport(
-        commutes=not any(generic.values()) and not witnesses,
+        commutes=commutes,
         threshold=n_star,
-        generic=generic,
+        generic={side: Terms() if commutes else generic_residual(f, u, side)
+                 for side in (ANALYTIC, CONJUGATE)},
         witnesses=witnesses,
     )

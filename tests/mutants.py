@@ -79,9 +79,9 @@ MUTANTS = [
     Mutant("generic residual left in z = 2n, not mapped to n", "toeplitz.py",
            "fn.affine_substitute(2, 0) for d", "fn for d",
            killer="tests/test_toeplitz.py::test_compose_generic_consistency"),
-    # the generic half read from values (toeplitz._degree_bounds, _generic_zero_by_values)
+    # the generic half read from values (toeplitz._degree_bounds, the scan past top)
     Mutant("degree bound one short: the scan past top stops at n0* + D - 1", "toeplitz.py",
-           "range(top + 1, last + 1)", "range(top + 1, last)",
+           "default=0) + 1))", "default=0)))",
            killer="tests/test_toeplitz.py::"
                   "test_value_at_the_last_index_sends_the_report_to_composition[analytic]"),
     Mutant("degree bound one short: D_{d,mu} = deg Q - 1", "toeplitz.py",
@@ -97,13 +97,12 @@ MUTANTS = [
            "out[q + shift] = max(out.get(q + shift, 0), e)",
            killer="tests/test_toeplitz.py::test_degree_bounds_by_hand[z^2]"),
     Mutant("scan past top on the analytic side only", "toeplitz.py",
-           "for side, sign in ((ANALYTIC, 1), (CONJUGATE, -1)):",
-           "for side, sign in ((ANALYTIC, 1),):",
+           "for side, sign in ((ANALYTIC, 1), (CONJUGATE, -1))",
+           "for side, sign in ((ANALYTIC, 1),)",
            killer="tests/test_toeplitz.py::"
                   "test_value_at_the_last_index_sends_the_report_to_composition[conjugate]"),
     Mutant("generic residual composed only on a witness", "toeplitz.py",
-           "if witnesses or not _generic_zero_by_values(pairs, n_star, top):",
-           "if witnesses:",
+           "Terms() if commutes else", "Terms() if not witnesses else",
            killer="tests/test_toeplitz.py::test_generic_residual_alone_refutes_commutation"),
     # the symbol u = z + sum abar_l zbar^l
     Mutant("u_symbol without its abar factor", "toeplitz.py",
@@ -160,14 +159,26 @@ MUTANTS = [
     Mutant("_split without (-1)^i", "ratfun.py",
            "s = (-1) ** i * comb(", "s = comb(",
            killer="tests/test_acceptance.py::test_criterion_5_f_minus_1"),
+    # the verdict, read from the concrete residuals alone (toeplitz.verify_commute)
     Mutant("commutes read from the generic residuals alone", "toeplitz.py",
-           "commutes=not any(generic.values()) and not witnesses,",
-           "commutes=not any(generic.values()),",
+           "commutes=commutes,",
+           "commutes=not any(generic_residual(f, u, s) for s in (ANALYTIC, CONJUGATE)),",
            killer="tests/test_cli.py::test_verify_failure_seen_only_by_witnesses"),
     Mutant("commutes read from the witnesses alone", "toeplitz.py",
-           "commutes=not any(generic.values()) and not witnesses,",
-           "commutes=not witnesses,",
+           "commutes=commutes,", "commutes=not witnesses,",
            killer="tests/test_toeplitz.py::test_generic_residual_alone_refutes_commutation"),
+    Mutant("verdict read from the witnesses alone: the scan past top on neither side",
+           "toeplitz.py", "for side, sign in ((ANALYTIC, 1), (CONJUGATE, -1))",
+           "for side, sign in ()",
+           killer="tests/test_toeplitz.py::test_generic_residual_alone_refutes_commutation"),
+    Mutant("verdict read from the scan past top alone", "toeplitz.py",
+           "commutes = not witnesses and not any(", "commutes = not any(",
+           killer="tests/test_toeplitz.py::test_noncommuting_verdict"),
+    Mutant("verdict read from the symbolic residual where a value past top is nonzero",
+           "toeplitz.py", "default=0) + 1))",
+           "default=0) + 1)) or not witnesses and not any("
+           "generic_residual(f, u, s) for s in (ANALYTIC, CONJUGATE))",
+           killer="tests/test_toeplitz.py::test_verdict_is_read_from_the_values_alone[analytic]"),
     # the telescoping equations (derive.constraint_at_offset)
     Mutant("M has the sign of its fraction flipped", "derive.py",
            "1): -2 * g - 2, 0: -1}", "1): 2 * g + 2, 0: -1}",
@@ -237,6 +248,9 @@ MUTANTS = [
                       "progression's partial sums d_p give out(z+2) - out(z) = h term by "
                       "term, so the check never fires"),
     # the printed lemma steps
+    Mutant("printed step taken as satisfying its equation without a check", "derive.py",
+           "shown == phi or _satisfies(eq, shown)", "True",
+           killer="tests/test_derive.py::test_reproduce_divergent_lemmas"),
     Mutant("f-4 read as induction(3)", "derive.py",
            'k = 4 if tag == "f-4" else', 'k = 3 if tag == "f-4" else',
            killer="tests/test_acceptance.py::test_criterion_8_conjugate_chain"),

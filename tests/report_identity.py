@@ -15,6 +15,9 @@ repeats:
 - every ``requests`` and ``smoke_requests`` entry of each workload in
   bench/workloads.py at seeds 0, 1, 2 and 7;
 - ``derive --L 20 --N 3 --K 22``;
+- two ``verify`` requests with ``--nmax 0``, so that top = n0*: C1 u + C0,
+  which commutes once the scan goes on past top = 3 to index 7, and z^2,
+  which fails with 8 witnesses;
 - the parser inputs below: the literal expressions of tests/test_cli_fuzz.py,
   valid and invalid, plus the edges of the power rule, sent as ``apply``
   (symbols and basis vectors), ``mellin`` (radials) and ``invmellin``
@@ -91,6 +94,8 @@ def standard_requests() -> List[List[str]]:
             for req in wl.requests(name, seed) + wl.smoke_requests(name, seed):
                 argvs.append(list(req.argv))
     argvs.append(["derive", "--L", "20", "--N", "3", "--K", "22"])
+    argvs += [["verify", "--f", f, "--u", "z + abar1*conj(z)", "--nmax", "0"]
+              for f in ("C1*z + C0 + C1*abar1*conj(z)", "z^2")]
     argvs += [["apply", f"--f={f}", "--v=z"] for f in SYMBOLS]
     argvs += [["apply", "--f=z", f"--v={v}"] for v in VECTORS]
     argvs += [["mellin", "--", phi] for phi in RADIALS]

@@ -331,6 +331,33 @@ def test_G_is_the_sum_of_per_term_shift_sums(monkeypatch):
         assert eq.G == _shift_sum_G(*args), args
 
 
+def test_each_stage_composition_has_only_the_stage_offset(monkeypatch):
+    """constraint_at_offset composes one component of u with one term of a
+    known component, so every _compose call returns the one offset
+    branch_offset(side, g + 1) of the stage that made it, and nothing else."""
+    stage, seen = [], []
+    constraint, compose = derive.constraint_at_offset, derive._compose
+
+    def at_stage(u, known, g, side):
+        stage[:] = [branch_offset(side, g + 1)]
+        return constraint(u, known, g, side)
+
+    def spy(a, b):
+        out = compose(a, b)
+        seen.append((stage[0], list(out)))
+        return out
+
+    monkeypatch.setattr(derive, "constraint_at_offset", at_stage)
+    monkeypatch.setattr(derive, "_compose", spy)
+    for L, N, K in ((0, 3, 2), (1, 3, 3), (2, 4, 4), (3, 2, 5), (5, 3, 8)):
+        run_pipeline(u_symbol(L), N, K)
+    for tag in ("4.1", "f0", "f-1", "f-3", "induction(5)"):
+        reproduce_lemma(tag)
+    assert len(seen) > 100
+    for offset, keys in seen:
+        assert keys == [offset]
+
+
 def test_stage_rhs_is_minus_M_times_the_generic_residual(monkeypatch):
     """Every stage's rhs is -M(z) R(z/2), where R(n) is the generic entry of
     [T_known, T_u] at offset branch_offset(side, g + 1), or 0 where there is

@@ -247,6 +247,22 @@ def test_value_at_the_last_index_sends_the_report_to_composition(monkeypatch, si
     assert calls == [ANALYTIC, CONJUGATE]
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["analytic", "conjugate"])
+def test_verdict_is_read_from_the_values_alone(monkeypatch, sign):
+    # C1 u + C0 commutes with u = z + abar1 zbar, and n0* = top = 3 with
+    # n_max = 0; one nonzero value past top, at +-(n0* + 1), is a counterexample
+    # and refutes commutation even when the symbolic residual is stubbed empty
+    residual, at = toeplitz._residual, sign * (3 + 1)
+    monkeypatch.setattr(toeplitz, "_residual", lambda pairs, m: residual(pairs, m) + (
+        basis(at) if m == at else HarmonicVector()))
+    monkeypatch.setattr(toeplitz, "generic_residual", lambda f, u, side: Terms())
+    u = u_symbol(1)
+    f = u * _const(Coeff.indet("C1")) + _const(Coeff.indet("C0"))
+    report = verify_commute(f, u, n_max=0)
+    assert report.threshold == 3 and report.witnesses == []
+    assert not report.commutes
+
+
 def test_verify_commute_splits_each_symbol_once(monkeypatch):
     # the concrete scan, the degree bounds and the scan past top share one split
     split, pieces = [], toeplitz._pieces
