@@ -9,6 +9,10 @@ with z twice the basis index.  Constancy of periodic functions of bounded
 characteristic then gives F = C + G for a fresh constant C, which inverts
 to an explicit radial component.  Non-integrable terms force constants to
 zero; iterating degree by degree characterizes every commutant symbol.
+A pair of one known radial term and one component of u whose compositions
+in the two orders are equal adds nothing to an equation, so it is dropped
+before any product; the other pairs are summed per monomial over scalars,
+and each stage lifts its sums to ``Coeff`` values once.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exactalg import ONE, C as C_, Coeff, Terms, abar as abar_, cname
+from .exactalg import ONE, C as C_, Coeff, Terms, _mono_mul, abar as abar_, cname
 from .mellin import MellinInversionError, inverse_mellin, mellin
 from .radial import RadialFunction
-from .ratfun import RationalFn
+from .ratfun import RationalFn, _acc
 from .toeplitz import (
     ANALYTIC,
     CONJUGATE,
@@ -138,10 +142,15 @@ def constraint_at_offset(u: Symbol, known: Symbol, g: int, side: str) -> Functio
     On the analytic side the unknown contributes at output offset g+1 (paired
     with the z part of u); on the conjugate side at offset -g-1 (paired with
     the z part acting as a downward shift).  Each radial term of a known
-    component, composed with u in both orders by ``toeplitz._compose`` and
-    times M, gives A and B at that offset and adds A - B to the right-hand
-    side; G is the proper antidifference of the sum plus the normalization
-    constant described below.
+    component, composed with u in both orders by ``toeplitz._compose``, gives
+    a map monomial mu of u -> scalar entry at that offset per order.  Where the
+    two maps are equal, as when neither branch has a pole and each acts as a
+    shift with a constant weight, the pair adds A - B = 0 and its shift is
+    m = 0, so it is skipped before any product.  Otherwise each entry times M
+    gives A_mu and B_mu, and the pair adds coef * mu (A_mu - B_mu) to the
+    right-hand side, summed per monomial over scalars and lifted to ``Coeff``
+    values once per stage; G is the proper antidifference of the sum plus the
+    normalization constant described below.
     """
     _check_u(u)
     if side == ANALYTIC:
@@ -154,7 +163,7 @@ def constraint_at_offset(u: Symbol, known: Symbol, g: int, side: str) -> Functio
         # unknown terms: -(z-2g) phihat(z-g+2) + z(z-2g)/(z+2) phihat(z-g);
         # multiplying by M = -(z+2)/(z-2g) normalizes them to F(z+2) - F(z), F = z phihat(z-g)
         M = RationalFn({(Fraction(-2 * g), 1): -2 * g - 2, 0: -1})
-    rhs = norm = RationalFn.zero
+    rhs, norm = {}, {}   # monomial -> scalar RationalFn, lifted once below
     offset = branch_offset(side, g + 1)
     for kf, phi_f in known.terms.items():
         j = g + 1 - kf
@@ -163,14 +172,20 @@ def constraint_at_offset(u: Symbol, known: Symbol, g: int, side: str) -> Functio
         us = _generic_pieces(Symbol({j: u.terms[j]}), side)
         for key, coef in phi_f.terms.items():
             ft = [((), branch_offset(side, kf), branch_z(side, kf, *key))]
-            lift = {mu: coef * Coeff({mu: ONE}) for mu, _, _ in us}
-            # A: T_u after T_f, B: T_f after T_u, each entry times M, lifted by coef * mu_u
-            A, B = (sum(((M * fn).scale(lift[mu])
-                         for mu, fn in _compose(x, y).get(offset, Terms()).terms.items()),
-                        RationalFn.zero) for x, y in ((us, ft), (ft, us)))
-            rhs = rhs + (A - B)
-            if B.poly_part and (m := _find_shift(A, B)):
-                norm = norm + B.poly_part.scale(m)
+            # a: T_u after T_f, b: T_f after T_u, each a map monomial mu of u -> scalar entry
+            a, b = (_compose(x, y).get(offset, Terms()) for x, y in ((us, ft), (ft, us)))
+            if a == b:   # A - B = 0, and m B(inf) adds nothing at m = 0
+                continue
+            A, B = ({mu: M * fn for mu, fn in t.terms.items()} for t in (a, b))
+            m = _find_shift(A, B) or 0
+            for mu, fb in B.items():   # both orders compose the same pieces: one key set
+                diff, inf = A[mu] - fb, fb.poly_part.scale(m)
+                for mono, s in coef.terms.items():   # lifted by coef * mu, one monomial at a time
+                    lifted, s = _mono_mul(mono, mu), s if s.im else s.re
+                    _acc(rhs, lifted, diff.scale(s))
+                    _acc(norm, lifted, inf.scale(s))
+    rhs, norm = (sum((fn.scale(Coeff({mono: ONE})) for mono, fn in t.items()), RationalFn.zero)
+                 for t in (rhs, norm))
     # norm sums m B(inf) over the pairs with A(z) = B(z + 2m).  A and B have the
     # same value at infinity, so rhs is proper.  Such a pair's equation is also
     # solved by the shift sum B(z) + ... + B(z + 2m - 2) (negated, over
@@ -183,22 +198,24 @@ def constraint_at_offset(u: Symbol, known: Symbol, g: int, side: str) -> Functio
     return FunctionalEquation(c=c, d=d, G=G, rhs=rhs, unknown_name=cname(g))
 
 
-def _find_shift(A: RationalFn, B: RationalFn) -> Optional[int]:
-    """The m with A(z) = B(z + 2m), or None.
+def _find_shift(A: dict, B: dict) -> Optional[int]:
+    """The m with A_mu(z) = B_mu(z + 2m) for every monomial mu, or None.
 
-    Each fraction c/(z+q)^j of B becomes c/(z+q+2m)^j in B(z + 2m), so m
-    is half the gap between the smallest q of A and of B; one comparison
-    confirms it.  Pole-free pairs try only m = 0.
+    A and B map each monomial mu to a RationalFn.  Each fraction c/(z+q)^j
+    of B_mu becomes c/(z+q+2m)^j in B_mu(z + 2m), so m is half the gap
+    between the smallest q over all of A and over all of B; one comparison
+    per monomial confirms it.  Pole-free pairs try only m = 0.
     """
     m = 0
-    fa, fb = A.fractions, B.fractions
+    fa, fb = ([q for fn in t.values() for q, _ in fn.fractions] for t in (A, B))
     if fa or fb:
         if not (fa and fb):
             return None
-        m = (min(q for q, _ in fa) - min(q for q, _ in fb)) / 2
+        m = (min(fa) - min(fb)) / 2
         if m.denominator != 1:
             return None
-    return int(m) if A == (B.shift(2 * m) if m else B) else None
+    return int(m) if A.keys() == B.keys() and all(
+        A[mu] == (B[mu].shift(2 * m) if m else B[mu]) for mu in A) else None
 
 
 # ---------------------------------------------------------------------------

@@ -297,14 +297,17 @@ def generic_residual(f: Symbol, u: Symbol, side: str) -> Terms:
 
 def _pole_keys(F: _Entries, k: int, side: str) -> tuple:
     """(d, poles) of one piece: its offset and the poles q -> multiplicity of its
-    generic coefficient in z = 2n, each term r^a (ln r)^b putting (z+q)^(b+1) at
-    q = a+d+2 (``branch_z``), with no RationalFn built; an integral q is an int,
-    which the pair loop adds and hashes faster than a Fraction."""
+    generic coefficient in z = 2n, each term r^a (ln r)^b putting the pole of its
+    own ``branch_z`` at q = a+d+2: of order b+1, or b where the top coefficient
+    2d+2-q is zero (a = d), and none when that order is 0.  No RationalFn is
+    built; an integral q is an int, which the pair loop adds and hashes faster
+    than a Fraction."""
     d, poles = branch_offset(side, k), {}
     for a, b, _ in F.terms:
-        q = a + d + 2
-        q = q.numerator if q.denominator == 1 else q
-        poles[q] = max(poles.get(q, 0), b + 1)
+        q, e = a + d + 2, b if a == d else b + 1
+        if e:
+            q = q.numerator if q.denominator == 1 else q
+            poles[q] = max(poles.get(q, 0), e)
     return d, poles
 
 

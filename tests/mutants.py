@@ -88,14 +88,20 @@ MUTANTS = [
            "return {key: sum(den.values()) for key, den in lcms.items()}",
            "return {key: sum(den.values()) - 1 for key, den in lcms.items()}",
            killer="tests/test_toeplitz.py::test_degree_bounds_by_hand[z^2]"),
+    Mutant("pole order b + 1 everywhere, also where the top coefficient is zero",
+           "toeplitz.py", "b if a == d else b + 1", "b + 1",
+           killer="tests/test_toeplitz.py::test_degree_bounds_by_hand[z^2]"),
+    Mutant("pole order b where the top coefficient is nonzero", "toeplitz.py",
+           "b if a == d else b + 1", "b if a != d else b + 1",
+           killer="tests/test_toeplitz.py::test_degree_bounds_by_hand[z^2]"),
     Mutant("product poles shifted by d_B, not 2d_B", "toeplitz.py",
            "(_product_poles(pu, pf, 2 * du), _product_poles(pf, pu, 2 * df))",
            "(_product_poles(pu, pf, du), _product_poles(pf, pu, df))",
-           killer="tests/test_toeplitz.py::test_degree_bounds_by_hand[z^2]"),
+           killer="tests/test_toeplitz.py::test_degree_bounds_by_hand[z ln r]"),
     Mutant("product multiplicities maxed, not added", "toeplitz.py",
            "out[q + shift] = out.get(q + shift, 0) + e",
            "out[q + shift] = max(out.get(q + shift, 0), e)",
-           killer="tests/test_toeplitz.py::test_degree_bounds_by_hand[z^2]"),
+           killer="tests/test_toeplitz.py::test_degree_bounds_by_hand[ln r]"),
     Mutant("scan past top on the analytic side only", "toeplitz.py",
            "for side, sign in ((ANALYTIC, 1), (CONJUGATE, -1))",
            "for side, sign in ((ANALYTIC, 1),)",
@@ -190,13 +196,25 @@ MUTANTS = [
            "for x, y in ((us, ft), (ft, us))", "for x, y in ((ft, us), (us, ft))",
            killer="tests/test_acceptance.py::test_criterion_3_f1"),
     Mutant("stage lift without the u monomial", "derive.py",
-           "coef * Coeff({mu: ONE})", "coef",
+           "lifted, s = _mono_mul(mono, mu),", "lifted, s = mono,",
            killer="tests/test_acceptance.py::test_criterion_3_f1"),
+    Mutant("pair skipped when the monomial keys of its compositions agree", "derive.py",
+           "if a == b:", "if a.terms.keys() == b.terms.keys():",
+           killer="tests/test_derive.py::test_pairs_with_equal_compositions_skip_the_shift_test"),
+    Mutant("pair skipped when either composition is empty", "derive.py",
+           "if a == b:", "if not a or not b:",
+           killer="tests/test_derive.py::test_pairs_with_equal_compositions_skip_the_shift_test"),
+    Mutant("shift tested on the first monomial only", "derive.py",
+           "for mu in A) else None", "for mu in list(A)[:1]) else None",
+           killer="tests/test_derive.py::test_find_shift_reads_every_monomial"),
+    Mutant("stage lift keeps one monomial of the term's coefficient", "derive.py",
+           "for mono, s in coef.terms.items():", "for mono, s in list(coef.terms.items())[:1]:",
+           killer="tests/test_derive.py::test_G_is_the_sum_of_per_term_shift_sums"),
     Mutant("G without its normalization constant", "derive.py",
            "G = antidifference(rhs) + norm", "G = antidifference(rhs)",
            killer="tests/test_derive.py::test_G_is_the_sum_of_per_term_shift_sums"),
     Mutant("normalization constant -m B(inf), not m B(inf)", "derive.py",
-           "B.poly_part.scale(m)", "B.poly_part.scale(-m)",
+           "fb.poly_part.scale(m)", "fb.poly_part.scale(-m)",
            killer="tests/test_derive.py::test_G_is_the_sum_of_per_term_shift_sums"),
     Mutant("forced constants in insertion order", "derive.py",
            "sorted(phi.non_integrable_terms().items())", "phi.non_integrable_terms().items()",

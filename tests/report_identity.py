@@ -16,7 +16,7 @@ repeats:
   bench/workloads.py at seeds 0, 1, 2 and 7;
 - ``derive --L 20 --N 3 --K 22``;
 - two ``verify`` requests with ``--nmax 0``, so that top = n0*: C1 u + C0,
-  which commutes once the scan goes on past top = 3 to index 7, and z^2,
+  which commutes once the scan goes on past top = 3 to index 5, and z^2,
   which fails with 8 witnesses;
 - the parser inputs below: the literal expressions of tests/test_cli_fuzz.py,
   valid and invalid, plus the edges of the power rule, sent as ``apply``

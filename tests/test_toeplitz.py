@@ -194,21 +194,38 @@ def test_generic_residual_alone_refutes_commutation(monkeypatch):
 
 A1 = (("abar1", 1),)   # the monomial abar1
 
-# D_{d,mu} per side, by hand from the pole keys.  On the analytic side z^2 has
-# poles {6: 1} at d = 2, z has {4: 1} at d = 1 and abar1 zbar {2: 1} at d = -1
-# (q = a + d + 2); B(z) A(z + 2d_B) moves A's poles by 2d_B and adds
-# multiplicities, and an entry takes the lcm over its products.  So (z^2, z)
-# reaches offset 3 by {4: 1, 8: 1} and {6: 1, 8: 1}, lcm degree 3, and
-# (z^2, abar1 zbar) offset 1 by {2: 1, 4: 1} and {6: 2}, degree 4.  ln r is
-# {2: 2} at d = 0, so (ln r, z) gives {4: 3} and {2: 2, 4: 1}, degree 5.
+# D_{d,mu} per side, by hand from the pole keys.  A term r^a (ln r)^b of a
+# piece at offset d has its pole at q = a + d + 2, of order b + 1, or b where
+# branch_z's top coefficient 2d + 2 - q is zero (a = d), and none at order 0.
+# On the analytic side z^2 (d = 2) and z (d = 1) have no pole and abar1 zbar
+# has {2: 1} at d = -1; on the conjugate side z^2 has {2: 1} at d = -2, z
+# {2: 1} at d = -1 and abar1 zbar none at d = 1.  B(z) A(z + 2d_B) moves A's
+# poles by 2d_B and adds multiplicities, and an entry takes the lcm over its
+# products.  So on the analytic side (z^2, z) reaches offset 3 with no pole,
+# degree 0, and (z^2, abar1 zbar) offset 1 by {2: 1} and {6: 1}, degree 2; on
+# the conjugate side (z^2, z) reaches -3 by {2: 1, 0: 1} and {2: 1, -2: 1},
+# degree 3, and (z^2, abar1 zbar) -1 by {4: 1} and {2: 1}, degree 2.  ln r
+# has a = d = 0 and b = 1, so {2: 1}: (ln r, z) gives {4: 1} and {2: 1},
+# degree 2, and (ln r, abar1 zbar) {2: 1, 0: 1} and {2: 2}, degree 3; the
+# conjugate side mirrors it.  u against itself: on each side the pair of the
+# pole-free piece with itself has degree 0, the pole-bearing piece with itself
+# gives {2: 1, 0: 1} in both orders, degree 2, and the mixed pairs at offset 0
+# give {2: 1} and {4: 1}, degree 2.  z ln r (k = 1, a = 1, b = 1) has its top coefficient zero on the
+# analytic side, d = 1, so {4: 1}: (z ln r, z) gives {6: 1} and {4: 1},
+# degree 2, and (z ln r, abar1 zbar) {2: 2} and {4: 2}, degree 4.  On the
+# conjugate side d = -1 and 2d + 2 - q = -2, so it keeps {2: 2}: with z
+# ({2: 1}) it gives {2: 1, 0: 2} and {2: 2, 0: 1}, degree 4, and with abar1
+# zbar {4: 2} and {2: 2}, degree 4.
 DEGREE_BOUNDS = [
     ("z^2", monomial_z(2), u_symbol(1),
-     {ANALYTIC: {(3, ()): 3, (1, A1): 4}, CONJUGATE: {(-3, ()): 3, (-1, A1): 4}}),
+     {ANALYTIC: {(3, ()): 0, (1, A1): 2}, CONJUGATE: {(-3, ()): 3, (-1, A1): 2}}),
     ("ln r", Symbol({0: RadialFunction.term(1, 0, 1)}), u_symbol(1),
-     {ANALYTIC: {(1, ()): 5, (-1, A1): 5}, CONJUGATE: {(-1, ()): 5, (1, A1): 5}}),
+     {ANALYTIC: {(1, ()): 2, (-1, A1): 3}, CONJUGATE: {(-1, ()): 3, (1, A1): 2}}),
     ("u", u_symbol(1), u_symbol(1),
-     {ANALYTIC: {(2, ()): 2, (0, A1): 4, (-2, (("abar1", 2),)): 2},
-      CONJUGATE: {(-2, ()): 2, (0, A1): 4, (2, (("abar1", 2),)): 2}}),
+     {ANALYTIC: {(2, ()): 0, (0, A1): 2, (-2, (("abar1", 2),)): 2},
+      CONJUGATE: {(-2, ()): 2, (0, A1): 2, (2, (("abar1", 2),)): 0}}),
+    ("z ln r", Symbol({1: RadialFunction.term(1, 1, 1)}), u_symbol(1),
+     {ANALYTIC: {(2, ()): 2, (0, A1): 4}, CONJUGATE: {(-2, ()): 4, (0, A1): 4}}),
 ]
 
 
@@ -237,9 +254,9 @@ def test_certified_report_composes_nothing(monkeypatch):
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["analytic", "conjugate"])
 def test_value_at_the_last_index_sends_the_report_to_composition(monkeypatch, sign):
-    # u against itself has n0* = 3 and D = 4 on both sides (DEGREE_BOUNDS), so
-    # with n_max = 0 the generic half must read the residual at +-7 too
-    residual, last = toeplitz._residual, sign * (3 + 4)
+    # u against itself has n0* = 3 and max D = 2 on both sides (DEGREE_BOUNDS),
+    # so with n_max = 0 the generic half must read the residual at +-5 too
+    residual, last = toeplitz._residual, sign * (3 + 2)
     monkeypatch.setattr(toeplitz, "_residual", lambda pairs, m: residual(pairs, m) + (
         basis(last) if m == last else HarmonicVector()))
     calls = _spy_generic_residual(monkeypatch)
