@@ -8,15 +8,16 @@ decomposition f = sum_k e^{ik theta} f_k, whose product multiplies term by
 term: e^{ik theta} f_k * e^{il theta} g_l = e^{i(k+l) theta} f_k g_l.  A
 quasihomogeneous symbol e^{ik theta} phi(r) maps e_m to a multiple of
 e_{m+k}, the multiple being one Mellin value of phi.  Both halves of the
-commutator check split a symbol by the monomials of its coefficients: the
-concrete action has one scalar per column entry, and the generic action (for
-every n above a threshold) one scalar rational function of the index per
-piece, so a ``Coeff`` enters only when a nonzero residual is written back.
-``_Entries`` is the one concrete column formula: ``apply_symbol(f, m)``,
-which is T_f e_m, and the concrete residual read it, and ``apply_quasi`` is
-``apply_symbol`` on one component e^{ik theta} phi.  Its entries are integer
-triples (re, im, den), summed fraction-free; the concrete residual tests a
-sum for zero by its numerator and builds a Fraction only for a nonzero one.
+commutator check split a symbol into pieces (mu, k, terms), one per monomial
+mu of its coefficients and degree k (``_pieces``): the concrete action has
+one scalar per column entry, and the generic action (for every n above a
+threshold) one scalar rational function of the index per piece, so a
+``Coeff`` enters only when a nonzero residual is written back.  ``_Entries``,
+a piece's integer kernel, is the one concrete column formula, built only by
+its two readers: ``apply_symbol(f, m)``, which is T_f e_m, and ``_pairs``,
+for the concrete residual.  Its entries are integer triples (re, im, den),
+summed fraction-free; the concrete residual tests a sum for zero by its
+numerator and builds a Fraction only for a nonzero one.
 ``verify_commute`` reads its verdict from concrete residuals alone: each
 generic entry is P/Q with deg P <= deg Q = D, Q read from the pieces' pole
 keys (``_degree_bounds``), so it is identically zero once it vanishes at the
@@ -134,10 +135,9 @@ def _check_integrable(f: Symbol) -> None:
 
 
 class _Entries(dict):
-    """The column entries F(m) of one piece (mu, k, terms) of a symbol, each
-    computed on first use: the piece maps e_m to mu F(m) e_{m+k}, where F(m)
-    is 2(j+1) sum c (-1)^b b!/(s+a)^{b+1} over its terms (a, b, c), with
-    j = |m+k| and s = |m|+j+2.
+    """The column entries F(m), each computed on first use, of one piece (mu, k, terms),
+    built by apply_symbol and _pairs alone: mu F(m) e_{m+k} is its image of e_m, where
+    F(m) = 2(j+1) sum c (-1)^b b!/(s+a)^{b+1} over (a, b, c), j = |m+k|, s = |m|+j+2.
 
     An entry is an integer triple (re, im, den), the value (re + i im)/den.
     The coefficients go over one integer denominator D, and a term with
@@ -169,14 +169,14 @@ class _Entries(dict):
 
 
 def _pieces(sym: Symbol) -> list:
-    """sym as pieces (mu, k, entries), one per monomial mu and degree k; each
-    radial coefficient c is a Fraction, or a GaussianRational when complex."""
+    """sym as pieces (mu, k, terms), one per monomial mu and degree k, with c in each term
+    (a, b, c) a Fraction, or a GaussianRational when complex; no ``_Entries`` is built."""
     groups: dict = {}
     for k, phi in sym.terms.items():
         for (a, b), coeff in phi.terms.items():
             for mono, g in coeff.terms.items():
                 groups.setdefault((mono, k), []).append((a, b, g if g.im else g.re))
-    return [(mono, k, _Entries(k, terms)) for (mono, k), terms in groups.items()]
+    return [(mono, k, terms) for (mono, k), terms in groups.items()]
 
 
 def _value(x: tuple) -> GaussianRational:
@@ -197,19 +197,19 @@ def apply_quasi(k: int, phi: RadialFunction, m: int) -> HarmonicVector:
 
 
 def apply_symbol(f: Symbol, m: int) -> HarmonicVector:
-    """T_f e_m: each piece (mu, k, F) of f puts mu F(m) at e_{m+k}; pieces are
-    distinct (mu, k) pairs, so no two of them meet."""
+    """T_f e_m: each piece (mu, k, terms) of f puts mu F(m) at e_{m+k}, F its
+    ``_Entries``; pieces are distinct (mu, k) pairs, so no two of them meet."""
     _check_integrable(f)
     out: dict = {}
-    for mu, k, F in _pieces(f):
-        out.setdefault(m + k, {})[mu] = _value(F[m])
+    for mu, k, terms in _pieces(f):
+        out.setdefault(m + k, {})[mu] = _value(_Entries(k, terms)[m])
     return HarmonicVector({i: Coeff(c) for i, c in out.items()})
 
 
 def _pairs(f: Symbol, u: Symbol) -> list:
-    """(F, k_f, U, k_u, mu_f mu_u) for every piece of f and every piece of u."""
-    up = _pieces(u)
-    return [(F, kf, U, ku, _mono_mul(mf, mu)) for mf, kf, F in _pieces(f) for mu, ku, U in up]
+    """(F, k_f, U, k_u, mu_f mu_u) per piece pair of f and u; one ``_Entries`` per piece."""
+    fp, up = ([(mu, k, _Entries(k, terms)) for mu, k, terms in _pieces(s)] for s in (f, u))
+    return [(F, kf, U, ku, _mono_mul(mf, mu)) for mf, kf, F in fp for mu, ku, U in up]
 
 
 def _residual(pairs: list, m: int) -> HarmonicVector:
@@ -264,11 +264,11 @@ def branch_z(side: str, k: int, a: Rat, b: int) -> RationalFn:
 
 
 def _generic_pieces(sym: Symbol, side: str) -> list:
-    """(mu, d, F) for every piece of sym: above threshold it takes index n on
-    `side` to n + d with coefficient mu F(2n), F scalar-valued in z = 2n."""
+    """(mu, d, F) for every piece (mu, k, terms) of sym: above threshold it takes n
+    on `side` to n + d with coefficient mu F(2n), F = sum of the terms' branch_z."""
     return [(mono, branch_offset(side, k),
-             sum((branch_z(side, k, a, b).scale(c) for a, b, c in F.terms), RationalFn.zero))
-            for mono, k, F in _pieces(sym)]
+             sum((branch_z(side, k, a, b).scale(c) for a, b, c in terms), RationalFn.zero))
+            for mono, k, terms in _pieces(sym)]
 
 
 def _compose(a: list, b: list) -> dict:

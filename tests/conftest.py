@@ -147,9 +147,9 @@ class FractionEntries(dict):
 def residual_reference(f: Symbol, u: Symbol, m: int) -> HarmonicVector:
     """[T_f, T_u] e_m by the Fraction loop: each pair of pieces puts
     mu_f mu_u (F(m+k_u) U(m) - U(m+k_f) F(m)) at e_{m+k_f+k_u}."""
-    up = [(mu, ku, FractionEntries(ku, U.terms)) for mu, ku, U in _pieces(u)]
-    pairs = [(FractionEntries(kf, F.terms), kf, U, ku, _mono_mul(mf, mu))
-             for mf, kf, F in _pieces(f) for mu, ku, U in up]
+    up = [(mu, ku, FractionEntries(ku, terms)) for mu, ku, terms in _pieces(u)]
+    pairs = [(FractionEntries(kf, terms), kf, U, ku, _mono_mul(mf, mu))
+             for mf, kf, terms in _pieces(f) for mu, ku, U in up]
     acc: dict = {}
     for F, kf, U, ku, mono in pairs:
         x = F[m + ku] * U[m] - U[m + kf] * F[m]

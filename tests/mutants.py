@@ -76,6 +76,9 @@ MUTANTS = [
     Mutant("generic lift uses mu_f, not mu_f mu_u", "toeplitz.py",
            "_mono_mul(ma, mb), B", "ma, B",
            killer="tests/test_acceptance.py::test_criterion_9_main_theorem"),
+    Mutant("generic pieces read their terms through a throwaway integer kernel",
+           "toeplitz.py", "for a, b, c in terms)", "for a, b, c in _Entries(k, terms).terms)",
+           killer="tests/test_derive.py::test_generic_half_builds_no_integer_kernel"),
     Mutant("generic residual left in z = 2n, not mapped to n", "toeplitz.py",
            "fn.affine_substitute(2, 0) for d", "fn for d",
            killer="tests/test_toeplitz.py::test_compose_generic_consistency"),
@@ -148,7 +151,7 @@ MUTANTS = [
            killer="tests/test_acceptance.py::test_criterion_9_main_theorem"),
     # one basis vector through T_f (toeplitz.apply_symbol) and the one checked radial term
     Mutant("apply_symbol reads F at m + k, not m", "toeplitz.py",
-           "= _value(F[m])", "= _value(F[m + k])",
+           "_Entries(k, terms)[m])", "_Entries(k, terms)[m + k])",
            killer="tests/test_toeplitz.py::test_mixed_action"),
     Mutant("apply_symbol drops the piece monomial mu", "toeplitz.py",
            "out.setdefault(m + k, {})[mu]", "out.setdefault(m + k, {})[()]",

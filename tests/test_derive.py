@@ -24,7 +24,7 @@ from htoeplitz import (
     solve_telescoping,
     u_symbol,
 )
-from htoeplitz import derive
+from htoeplitz import derive, toeplitz
 from htoeplitz.derive import _check_u, _find_shift, _force_constants, _satisfies
 from htoeplitz.toeplitz import branch_offset, branch_z, generic_residual
 
@@ -381,6 +381,31 @@ def test_stage_rhs_is_minus_M_times_the_generic_residual(monkeypatch):
     for (u, known, g, side), eq in stages:
         R = generic_residual(known, u, side).terms.get(branch_offset(side, g + 1), RationalFn.zero)
         assert eq.rhs == -(_M(g, side) * R.affine_substitute(Fraction(1, 2), 0)), (g, side)
+
+
+def test_generic_half_builds_no_integer_kernel(monkeypatch):
+    """A piece is its terms: the stage equations and generic_residual read them
+    directly, so no integer kernel (toeplitz._Entries) is built by
+    reproduce_lemma, by run_pipeline before its final verify_commute, or by
+    generic_residual of a pair that does not commute; apply_symbol builds one."""
+    built = []
+
+    class Counting(toeplitz._Entries):
+        def __init__(self, k, terms):
+            built.append(k)
+            super().__init__(k, terms)
+
+    monkeypatch.setattr(toeplitz, "_Entries", Counting)
+    for tag in derive.ALL_LEMMA_TAGS:
+        reproduce_lemma(tag)
+    _record_stages(monkeypatch)
+    run_pipeline(u_symbol(10), 3, 12)
+    f = Symbol({2: RadialFunction.term(1, 2)})
+    for side in (ANALYTIC, CONJUGATE):
+        assert generic_residual(f, u_symbol(1), side)
+    assert built == []
+    toeplitz.apply_symbol(f, 1)
+    assert built == [2]
 
 
 def test_pairs_with_equal_compositions_skip_the_shift_test(monkeypatch):

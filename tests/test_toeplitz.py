@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from htoeplitz import (
@@ -487,14 +487,19 @@ def test_integer_entries_match_fraction_reference(f, m):
     # each entry is an integer triple (re, im, den > 0) whose value is the Fraction
     # kernel's, and apply_symbol reads it as that value
     expected = {}
-    for mu, k, F in toeplitz._pieces(f):
-        x = GaussianRational.coerce(FractionEntries(k, F.terms)[m])
+    for mu, k, terms in toeplitz._pieces(f):
+        F = toeplitz._Entries(k, terms)
+        x = GaussianRational.coerce(FractionEntries(k, terms)[m])
         assert F[m][2] > 0 and toeplitz._value(F[m]) == x
         expected[m + k] = expected.get(m + k, Coeff()) + Coeff({mu: x})
     assert apply_symbol(f, m) == HarmonicVector(expected)
 
 
+# f = z + 2 r^2 and u = z + r^2 at m = 0: the pairs (z, r^2) and (r^2, z) both put
+# a nonzero value at (e_1, monomial 1), so the sum of two triples is exercised
 @given(_integrable_symbols(), _integrable_symbols(), st.integers(-12, 12))
+@example(Symbol({1: RadialFunction.term(1, 1), 0: RadialFunction.term(2, 2)}),
+         Symbol({1: RadialFunction.term(1, 1), 0: RadialFunction.term(1, 2)}), 0)
 @settings(deadline=None, max_examples=80)
 def test_integer_residual_matches_fraction_reference(f, u, m):
     assert commutator_residual(f, u, m) == residual_reference(f, u, m)
