@@ -17,11 +17,10 @@ and each stage lifts its sums to ``Coeff`` values once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .exactalg import ONE, C as C_, Coeff, Terms, _mono_mul, abar as abar_, cname
+from .exactalg import ONE, C as C_, Coeff, Rat, Terms, _mono_mul, abar as abar_, cname
 from .mellin import MellinInversionError, inverse_mellin, mellin
 from .radial import RadialFunction
 from .ratfun import RationalFn, _acc
@@ -41,12 +40,11 @@ class TelescopeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FunctionalEquation:
+class FunctionalEquation(NamedTuple):
     """F(z+2) - F(z) = rhs(z) with F(z) = (z+c) phihat(z+d) and rhs = G(z+2)-G(z)."""
 
-    c: Fraction
-    d: Fraction
+    c: Rat
+    d: Rat
     G: RationalFn
     rhs: RationalFn
     unknown_name: str
@@ -64,7 +62,7 @@ def antidifference(h: RationalFn) -> RationalFn:
     if h.poly_part:
         raise TelescopeError(f"no proper antidifference: polynomial part {h.poly_part}")
     # fractions, grouped by (pole residue class mod 2, power)
-    groups: Dict[Tuple[Fraction, int], Dict[Fraction, Coeff]] = {}
+    groups: Dict[Tuple[Rat, int], Dict[Rat, Coeff]] = {}
     for (q, j), c in h.fractions.items():
         groups.setdefault((q % 2, j), {})[q] = c
     fractions = {}
@@ -154,15 +152,15 @@ def constraint_at_offset(u: Symbol, known: Symbol, g: int, side: str) -> Functio
     """
     _check_u(u)
     if side == ANALYTIC:
-        c, d = Fraction(2 * g + 2), Fraction(g + 2)
+        c, d = 2 * g + 2, g + 2
         M = RationalFn({0: 1})
     else:
         if g >= 0:
             raise TelescopeError("conjugate-side derivation requires negative degree")
-        c, d = Fraction(0), Fraction(-g)
+        c, d = 0, -g
         # unknown terms: -(z-2g) phihat(z-g+2) + z(z-2g)/(z+2) phihat(z-g);
         # multiplying by M = -(z+2)/(z-2g) normalizes them to F(z+2) - F(z), F = z phihat(z-g)
-        M = RationalFn({(Fraction(-2 * g), 1): -2 * g - 2, 0: -1})
+        M = RationalFn({(-2 * g, 1): -2 * g - 2, 0: -1})
     rhs, norm = {}, {}   # monomial -> scalar RationalFn, lifted once below
     offset = branch_offset(side, g + 1)
     for kf, phi_f in known.terms.items():
@@ -181,7 +179,7 @@ def constraint_at_offset(u: Symbol, known: Symbol, g: int, side: str) -> Functio
             for mu, fb in B.items():   # both orders compose the same pieces: one key set
                 diff, inf = A[mu] - fb, fb.poly_part.scale(m)
                 for mono, s in coef.terms.items():   # lifted by coef * mu, one monomial at a time
-                    lifted, s = _mono_mul(mono, mu), s if s.im else s.re
+                    lifted = _mono_mul(mono, mu)
                     _acc(rhs, lifted, diff.scale(s))
                     _acc(norm, lifted, inf.scale(s))
     rhs, norm = (sum((fn.scale(Coeff({mono: ONE})) for mono, fn in t.items()), RationalFn.zero)
@@ -211,10 +209,11 @@ def _find_shift(A: dict, B: dict) -> Optional[int]:
     if fa or fb:
         if not (fa and fb):
             return None
-        m = (min(fa) - min(fb)) / 2
+        m = Fraction(min(fa) - min(fb), 2)
         if m.denominator != 1:
             return None
-    return int(m) if A.keys() == B.keys() and all(
+        m = m.numerator
+    return m if A.keys() == B.keys() and all(
         A[mu] == (B[mu].shift(2 * m) if m else B[mu]) for mu in A) else None
 
 
@@ -222,15 +221,17 @@ def _find_shift(A: dict, B: dict) -> Optional[int]:
 # pipeline
 
 
-@dataclass
 class StageRecord:
-    degree: int
-    method: str                      # "Tz-solve" | "analytic" | "conjugate"
-    introduced: str
-    solved: RadialFunction           # as first derived, before forcing
-    forced: List[Tuple[str, Tuple[Fraction, int]]] = field(default_factory=list)
-    integrable: bool = True
-    restarted: bool = False
+    def __init__(self, degree: int, method: str, introduced: str, solved: RadialFunction,
+                 forced: List[Tuple[str, Tuple[Rat, int]]] = None, integrable: bool = True,
+                 restarted: bool = False):
+        self.degree = degree
+        self.method = method              # "Tz-solve" | "analytic" | "conjugate"
+        self.introduced = introduced
+        self.solved = solved              # as first derived, before forcing
+        self.forced = [] if forced is None else forced
+        self.integrable = integrable
+        self.restarted = restarted
 
     def to_json(self):
         return {
@@ -247,19 +248,23 @@ class StageRecord:
         }
 
 
-@dataclass
 class DerivationReport:
-    N_start: int
-    N_effective: int
-    effective_top_degree: int
-    stages: List[StageRecord]
-    components: Dict[int, RadialFunction]
-    final_symbol: Symbol
-    survivors: List[str]
-    forced: Dict[str, Tuple[int, Tuple[Fraction, int]]]
-    commutes: bool
-    verification: object = None
-    notes: List[str] = field(default_factory=list)
+    def __init__(self, N_start: int, N_effective: int, effective_top_degree: int,
+                 stages: List[StageRecord], components: Dict[int, RadialFunction],
+                 final_symbol: Symbol, survivors: List[str],
+                 forced: Dict[str, Tuple[int, Tuple[Rat, int]]], commutes: bool,
+                 verification=None, notes: List[str] = None):
+        self.N_start = N_start
+        self.N_effective = N_effective
+        self.effective_top_degree = effective_top_degree
+        self.stages = stages
+        self.components = components
+        self.final_symbol = final_symbol
+        self.survivors = survivors
+        self.forced = forced
+        self.commutes = commutes
+        self.verification = verification
+        self.notes = [] if notes is None else notes
 
     def to_json(self):
         return {
@@ -284,13 +289,13 @@ class DerivationReport:
 
 def _force_constants(
     phi: RadialFunction,
-) -> Tuple[RadialFunction, List[Tuple[str, Tuple[Fraction, int]]]]:
+) -> Tuple[RadialFunction, List[Tuple[str, Tuple[Rat, int]]]]:
     """Zero out every constant appearing in a non-integrable term's coefficient.
 
     Terms are taken in (a, b) order, so each forced constant is reported with
     its lowest non-integrable term, whatever order phi's terms were built in.
     """
-    forced: List[Tuple[str, Tuple[Fraction, int]]] = []
+    forced: List[Tuple[str, Tuple[Rat, int]]] = []
     names: set = set()
     for key, coef in sorted(phi.non_integrable_terms().items()):
         hit = coef.constant_names()
@@ -352,7 +357,7 @@ def run_pipeline(u: Symbol, N_start: int, K_max: int, n_max: int = 20) -> Deriva
             comps[g] = phi
         g -= 1
 
-    forced: Dict[str, Tuple[int, Tuple[Fraction, int]]] = {}
+    forced: Dict[str, Tuple[int, Tuple[Rat, int]]] = {}
     for s in stages:
         for n, key in s.forced:
             forced.setdefault(n, (s.degree, key))
@@ -388,16 +393,19 @@ def _r(coeff, a, b=0) -> RadialFunction:
     return RadialFunction.term(coeff, a, b)
 
 
-@dataclass
 class LemmaReport:
-    tag: str
-    derived: RadialFunction
-    printed: RadialFunction
-    match: bool
-    forced: List[str]
-    printed_satisfies_equation: bool
-    discrepancy: Optional[RadialFunction] = None
     derived_satisfies_equation = True   # solve_telescoping checked F - G = C, or it raised
+
+    def __init__(self, tag: str, derived: RadialFunction, printed: RadialFunction, match: bool,
+                 forced: List[str], printed_satisfies_equation: bool,
+                 discrepancy: Optional[RadialFunction] = None):
+        self.tag = tag
+        self.derived = derived
+        self.printed = printed
+        self.match = match
+        self.forced = forced
+        self.printed_satisfies_equation = printed_satisfies_equation
+        self.discrepancy = discrepancy
 
     def to_json(self):
         return {

@@ -4,7 +4,9 @@ The coefficient ring used everywhere else in the package is ``Coeff``: a
 multivariate polynomial over Gaussian rationals in the formal indeterminates
 ``C<k>`` / ``Cm<k>`` (undetermined constants, index k an integer) and
 ``abar<l>`` (the conjugated Taylor coefficients of the co-analytic symbol
-part, l >= 1).  Values are immutable and all arithmetic is exact.
+part, l >= 1).  Values are immutable and all arithmetic is exact; a
+``GaussianRational`` is one reduced integer triple, and ``int_or_fraction``
+gives the int or Fraction form of the keys built from rationals.
 ``Terms`` is the sparse sum that ``Coeff`` and the radial, vector, symbol
 and rational-function types share, and ``Terms._product`` the product of
 the first three; a polynomial is a rational function with no fractions.
@@ -14,9 +16,19 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 Rat = Union[int, Fraction]
+
+
+def int_or_fraction(q: Rat) -> Rat:
+    """q as an int when it is integral, else as a Fraction: the form of a pole or
+    exponent key, which compares and hashes like the Fraction of the same value."""
+    if type(q) is int:
+        return q
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
 
 # only the spellings cname and aname produce: no leading zeros, no Cm0
 _NAME_RE = _re.compile(r"^(?:C(?P<cpos>0|[1-9]\d*)|Cm(?P<cneg>[1-9]\d*)|abar(?P<abar>[1-9]\d*))$")
@@ -52,20 +64,45 @@ def is_constant_name(name: str) -> bool:
     return name.startswith("C")
 
 
-_FRACTION_ZERO = Fraction(0)
-
-
 class GaussianRational:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number (x + iy)/d, stored as the reduced integer triple x, y, d.
 
-    __slots__ = ("re", "im")
+    The triple is canonical: d > 0 and gcd(x, y, d) = 1, so equal values have
+    equal triples, and ``==`` and ``hash`` read it.  Each result of + - * /
+    is one integer triple, reduced once by ``of_triple``.  ``re`` and ``im``
+    are read-only Fraction views, for rendering and serialization.
+    """
+
+    __slots__ = ("x", "y", "d")
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        d = 1
+        if type(re) is not int or type(im) is not int:
+            re, im = Fraction(re), Fraction(im)
+            d = lcm(re.denominator, im.denominator)   # of reduced fractions: the triple is reduced
+            re, im = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+        _set_x(self, re), _set_y(self, im), _set_d(self, d)
+
+    @staticmethod
+    def of_triple(x: int, y: int, d: int) -> "GaussianRational":
+        """The value (x + iy)/d of integers x, y and d != 0, reduced."""
+        g = gcd(x, y, d) if d > 0 else -gcd(x, y, d)
+        if g != 1:
+            x, y, d = x // g, y // g, d // g
+        out = _new(GaussianRational)
+        _set_x(out, x), _set_y(out, y), _set_d(out, d)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.x, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.y, self.d)
 
     @staticmethod
     def coerce(x: "GaussianRational | Rat") -> "GaussianRational":
@@ -75,76 +112,80 @@ class GaussianRational:
         return GaussianRational(x) if isinstance(x, (int, Fraction)) else NotImplemented
 
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, GaussianRational):
+            x, y, d = other.x, other.y, other.d
+        elif isinstance(other, (int, Fraction)):
+            x, y, d = other.numerator, 0, other.denominator
+        else:
             return NotImplemented
-        if not self.im and not other.im:   # real + real: one Fraction sum
-            return GaussianRational(self.re + other.re, _FRACTION_ZERO)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return GaussianRational.of_triple(self.x * d + x * self.d, self.y * d + y * self.d,
+                                          self.d * d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational.of_triple(-self.x, -self.y, self.d)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        a, b = self.x, self.y
         if isinstance(other, GaussianRational):
-            c, d = other.re, other.im
-        elif isinstance(other, (int, Fraction)):   # a real scalar needs no wrapper
-            c, d = other, 0
-        else:
-            return NotImplemented
-        a, b = self.re, self.im
-        if not d:   # times a real: two Fraction products, one when both are real
-            return GaussianRational(a * c, b * c if b else _FRACTION_ZERO)
-        if not b:
-            return GaussianRational(a * c, a * d)
-        return GaussianRational(a * c - b * d, a * d + b * c)
+            c, e = other.x, other.y
+            if e:
+                return GaussianRational.of_triple(a * c - b * e, a * e + b * c, self.d * other.d)
+            return GaussianRational.of_triple(a * c, b * c, self.d * other.d)
+        if isinstance(other, (int, Fraction)):   # a real scalar needs no wrapper
+            c = other.numerator
+            return GaussianRational.of_triple(a * c, b * c, self.d * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """(x + iy)/d over (u + iv)/e is (x + iy)(u - iv) e / (d (u^2 + v^2))."""
         other = GaussianRational.coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = other.re * other.re + other.im * other.im
+        u, v, e = other.x, other.y, other.d
+        n = u * u + v * v
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        x, y = self.x, self.y
+        return GaussianRational.of_triple((x * u + y * v) * e, (y * u - x * v) * e, self.d * n)
 
     def __eq__(self, other):
+        if isinstance(other, GaussianRational):
+            return self.x == other.x and self.y == other.y and self.d == other.d
         if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            return not self.y and self.x == other.numerator and self.d == other.denominator
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.x, self.y, self.d))
 
     def __bool__(self):
-        return bool(self.re or self.im)
+        return bool(self.x or self.y)
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self.x / self.d, self.y / self.d)
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}i)"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"({re}{sign}{abs(im)}i)"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
+
+_new = object.__new__
+_set_x, _set_y, _set_d = (GaussianRational.__dict__[n].__set__ for n in ("x", "y", "d"))
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)

@@ -6,8 +6,9 @@ with a rational, b a nonnegative integer and c_{a,b} a ``Coeff``: a
 hashing and the product loop.  This span is closed under addition and
 multiplication, and it carries the L^1([0,1), r dr) integrability test used
 to kill constants.  ``RadialFunction.term`` is the one constructor that reads
-outside values: it makes the key (Fraction a, int b), refuses b < 0 and reads
-the coefficient as a ``Coeff``.  Sums, products, substitutions and
+outside values: it makes the key (a, b), a an int when integral and a
+Fraction otherwise (``int_or_fraction``) and b an int, refuses b < 0 and
+reads the coefficient as a ``Coeff``.  Sums, products, substitutions and
 ``mellin.inverse_mellin`` build from keys and values already in that form,
 so they check nothing again.  A ``RadialFunction`` multiplies only by a
 ``RadialFunction``.
@@ -15,12 +16,11 @@ so they check nothing again.  A ``RadialFunction`` multiplies only by a
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Tuple
 
-from .exactalg import Coeff, Rat, Terms, render_sum, render_term
+from .exactalg import Coeff, Rat, Terms, int_or_fraction, render_sum, render_term
 
-Key = Tuple[Fraction, int]  # (exponent a, log power b)
+Key = Tuple[Rat, int]  # (exponent a, log power b)
 
 
 def _key_mul(x: Key, y: Key) -> Key:
@@ -35,10 +35,11 @@ class RadialFunction(Terms):
 
     @staticmethod
     def term(coeff, a: Rat, b: int = 0) -> "RadialFunction":
-        """coeff r^a (ln r)^b: the one constructor that reads outside values."""
+        """coeff r^a (ln r)^b: the one constructor that reads outside values.
+        Its key is (a, b), a rational a an int when integral, b an int."""
         if b < 0:
             raise ValueError("log power must be >= 0")
-        return RadialFunction({(Fraction(a), int(b)): Coeff.coerce(coeff)})
+        return RadialFunction({(int_or_fraction(a), int(b)): Coeff.coerce(coeff)})
 
     @staticmethod
     def const(coeff) -> "RadialFunction":

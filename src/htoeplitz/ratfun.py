@@ -1,7 +1,8 @@
 """Univariate rational functions over exact values, stored as partial fractions.
 
 ``RationalFn`` is sum_i c_i z^i + sum over (q, j) of c / (z+q)^j, every
-pole location q a concrete rational and j >= 1, held as one ``Terms`` map
+pole location q a concrete rational, an int when integral
+(``int_or_fraction``), and j >= 1, held as one ``Terms`` map
 whose keys are i and (q, j); ``poly_part`` and ``fractions`` are views of it.
 A polynomial is a ``RationalFn`` whose keys are all ints, built by
 ``RationalFn.poly``; ``coeffs`` is the dense view of the int keys.  That form
@@ -27,9 +28,9 @@ from functools import reduce
 from math import comb, lcm
 from typing import Dict, Mapping, Tuple
 
-from .exactalg import Coeff, GaussianRational, Rat, Terms, render_sum, render_term
+from .exactalg import Coeff, GaussianRational, Rat, Terms, int_or_fraction, render_sum, render_term
 
-Pole = Tuple[Fraction, int]  # (q, j) for the fraction 1/(z+q)^j
+Pole = Tuple[Rat, int]  # (q, j) for the fraction 1/(z+q)^j
 
 
 class PoleError(ArithmeticError):
@@ -45,10 +46,10 @@ def _acc(out: dict, key, c) -> None:
     out[key] = out[key] + c if key in out else c
 
 
-def _split(out: dict, c, p: Fraction, a: int, q: Fraction, b: int) -> None:
+def _split(out: dict, c, p: Rat, a: int, q: Rat, b: int) -> None:
     """Add c / ((z+p)^a (z+q)^b), p != q, to the term map out."""
     for (x, m), (y, n) in (((p, a), (q, b)), ((q, b), (p, a))):
-        inv = 1 / (y - x)
+        inv = Fraction(1, y - x)
         for i in range(m):
             s = (-1) ** i * comb(n + i - 1, i) * inv ** (n + i)
             _acc(out, (x, m - i), c * s)
@@ -82,7 +83,7 @@ def _add_term_product(out: dict, a, b, c) -> None:
                     _acc(out, e, c * (s * comb(t - j, e) * q ** (t - j - e)))
 
 
-def _den_coeffs(den: Mapping[Fraction, int], q=None, j: int = 0) -> list:
+def _den_coeffs(den: Mapping[Rat, int], q=None, j: int = 0) -> list:
     """Dense scalar coefficients, constant term first, of prod (z+p)^m over
     den[p] = m with j factors (z+q) left out, one factor (z+p) at a time."""
     out = [1]
@@ -115,12 +116,12 @@ class RationalFn(Terms):
     @staticmethod
     def linear(q: Rat) -> "RationalFn":
         """The monic factor z + q."""
-        return RationalFn.poly({0: Fraction(q), 1: 1})
+        return RationalFn.poly({0: q, 1: 1})
 
     @staticmethod
     def fraction(c, q: Rat, power: int = 1) -> "RationalFn":
         """c / (z+q)^power, power >= 1."""
-        return RationalFn({(Fraction(q), power): Coeff.coerce(c)})
+        return RationalFn({(int_or_fraction(q), power): Coeff.coerce(c)})
 
     zero: "RationalFn"
     one: "RationalFn"
@@ -150,9 +151,9 @@ class RationalFn(Terms):
         return {k: c for k, c in self.terms.items() if type(k) is tuple}
 
     @property
-    def den(self) -> Dict[Fraction, int]:
+    def den(self) -> Dict[Rat, int]:
         """Pole q -> multiplicity: the monic denominator prod (z+q)^m."""
-        out: Dict[Fraction, int] = {}
+        out: Dict[Rat, int] = {}
         for q, j in self.fractions:
             if j > out.get(q, 0):
                 out[q] = j
@@ -231,15 +232,16 @@ class RationalFn(Terms):
         alpha = Fraction(alpha)
         if alpha == 0:
             raise ValueError("alpha must be nonzero")
-        return self._substitute(alpha, Fraction(beta))
+        return self._substitute(alpha, int_or_fraction(beta))
 
     def shift(self, beta: Rat) -> "RationalFn":
         """a(z + beta)."""
-        return self._substitute(1, Fraction(beta))
+        return self._substitute(1, int_or_fraction(beta))
 
-    def _substitute(self, alpha: Rat, beta: Fraction) -> "RationalFn":
-        """a(alpha*w + beta), alpha nonzero: (alpha w + beta)^i expands by the
-        binomial theorem and c/(z+q)^j becomes c alpha^-j / (w + (q+beta)/alpha)^j."""
+    def _substitute(self, alpha: Rat, beta: Rat) -> "RationalFn":
+        """a(alpha*w + beta), alpha 1 or a nonzero Fraction, so every pole stays exact:
+        (alpha w + beta)^i expands by the binomial theorem and c/(z+q)^j becomes
+        c alpha^-j / (w + (q+beta)/alpha)^j."""
         terms: dict = {}
         for key, c in self.terms.items():
             if type(key) is int:
@@ -249,7 +251,10 @@ class RationalFn(Terms):
                         _acc(terms, k, c * s)
             else:
                 q, j = key
-                terms[((q + beta) / alpha, j)] = c if alpha == 1 else c * alpha ** -j
+                if alpha == 1:
+                    terms[(q + beta, j)] = c
+                else:
+                    terms[(int_or_fraction((q + beta) / alpha), j)] = c * alpha ** -j
         return RationalFn(terms)
 
     def evaluate_at(self, q: Rat) -> Coeff:

@@ -15,9 +15,10 @@ threshold) one scalar rational function of the index per piece, so a
 ``Coeff`` enters only when a nonzero residual is written back.  ``_Entries``,
 a piece's integer kernel, is the one concrete column formula, built only by
 its two readers: ``apply_symbol(f, m)``, which is T_f e_m, and ``_pairs``,
-for the concrete residual.  Its entries are integer triples (re, im, den),
-summed fraction-free; the concrete residual tests a sum for zero by its
-numerator and builds a Fraction only for a nonzero one.
+for the concrete residual.  It reads the integer triples (x, y, d) of the
+coefficients, and its entries are integer triples (re, im, den), summed
+fraction-free; the concrete residual tests a sum for zero by its numerator
+and reduces only a nonzero one to a ``GaussianRational``.
 ``verify_commute`` reads its verdict from concrete residuals alone: each
 generic entry is P/Q with deg P <= deg Q = D, Q read from the pieces' pole
 keys (``_degree_bounds``), so it is identically zero once it vanishes at the
@@ -28,7 +29,6 @@ entries symbolically, to print a failing report and as the tests' oracle.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Dict
@@ -140,19 +140,19 @@ class _Entries(dict):
     F(m) = 2(j+1) sum c (-1)^b b!/(s+a)^{b+1} over (a, b, c), j = |m+k|, s = |m|+j+2.
 
     An entry is an integer triple (re, im, den), the value (re + i im)/den.
-    The coefficients go over one integer denominator D, and a term with
-    a = p/q gets the Gaussian-integer weight w = c D (-1)^b b! q^{b+1}, so
+    The coefficients (x + iy)/d go over one integer denominator D, the lcm of
+    their d, and a term with a = p/q gets the Gaussian-integer weight
+    w = (x + iy) (D/d) (-1)^b b! q^{b+1}, so
     F(m) = 2(j+1) sum w/(sq+p)^{b+1} / D, summed fraction-free.  An
     integrable term has a > -2 and s >= 2, so s + a > 0 and den > 0."""
 
     def __init__(self, k: int, terms: list):
         self.k, self.terms = k, terms
         cs = [GaussianRational.coerce(c) for _, _, c in terms]
-        self.D = D = lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
-        self.weights = [(a.numerator, a.denominator, b + 1,
-                         (c.re * D).numerator * w, (c.im * D).numerator * w)
+        self.D = D = lcm(*(c.d for c in cs))
+        self.weights = [(a.numerator, a.denominator, b + 1, c.x * w, c.y * w)
                         for (a, b, _), c in zip(terms, cs)
-                        for w in [(-1) ** b * factorial(b) * a.denominator ** (b + 1)]]
+                        for w in [D // c.d * (-1) ** b * factorial(b) * a.denominator ** (b + 1)]]
 
     def __missing__(self, m: int):
         j = abs(m + self.k)
@@ -170,19 +170,18 @@ class _Entries(dict):
 
 def _pieces(sym: Symbol) -> list:
     """sym as pieces (mu, k, terms), one per monomial mu and degree k, with c in each term
-    (a, b, c) a Fraction, or a GaussianRational when complex; no ``_Entries`` is built."""
+    (a, b, c) the GaussianRational coefficient of mu; no ``_Entries`` is built."""
     groups: dict = {}
     for k, phi in sym.terms.items():
         for (a, b), coeff in phi.terms.items():
             for mono, g in coeff.terms.items():
-                groups.setdefault((mono, k), []).append((a, b, g if g.im else g.re))
+                groups.setdefault((mono, k), []).append((a, b, g))
     return [(mono, k, terms) for (mono, k), terms in groups.items()]
 
 
 def _value(x: tuple) -> GaussianRational:
     """The integer triple (re, im, den) as the GaussianRational (re + i im)/den."""
-    re, im, den = x
-    return GaussianRational(Fraction(re, den), Fraction(im, den))
+    return GaussianRational.of_triple(*x)
 
 
 def apply_quasi(k: int, phi: RadialFunction, m: int) -> HarmonicVector:
@@ -219,7 +218,7 @@ def _residual(pairs: list, m: int) -> HarmonicVector:
     T_f after T_u, minus T_u after T_f.  The entries are integer triples
     (``_Entries``), so the difference and the sums are cross-multiplied
     integer triples, never reduced; the zero test reads the numerator only,
-    and a Fraction is built only for a nonzero sum.
+    and only a nonzero sum is reduced to a GaussianRational.
     """
     acc: dict = {}
     for F, kf, U, ku, mono in pairs:
@@ -339,12 +338,13 @@ def _degree_bounds(pairs: list, side: str) -> dict:
     return {key: sum(den.values()) for key, den in lcms.items()}
 
 
-@dataclass
 class CommutationReport:
-    commutes: bool
-    threshold: int
-    generic: Dict[str, Terms]        # side -> generic residual from threshold; empty if commutes
-    witnesses: list = field(default_factory=list)
+    def __init__(self, commutes: bool, threshold: int, generic: Dict[str, Terms],
+                 witnesses: list = None):
+        self.commutes = commutes
+        self.threshold = threshold
+        self.generic = generic       # side -> generic residual from threshold; empty if commutes
+        self.witnesses = [] if witnesses is None else witnesses
 
     @property
     def generic_nonzero(self) -> list:

@@ -165,6 +165,9 @@ MUTANTS = [
     Mutant("num without the polynomial part's shift by i", "ratfun.py",
            "enumerate(cof, i0)", "enumerate(cof)",
            killer="tests/test_ratfun.py::test_num_from_cofactors_equals_the_product_with_den"),
+    Mutant("_split back to 1 / (y - x), a float between two int poles", "ratfun.py",
+           "inv = Fraction(1, y - x)", "inv = 1 / (y - x)",
+           killer="tests/test_exact_keys.py::test_key_operations_build_no_float"),
     Mutant("_split without (-1)^i", "ratfun.py",
            "s = (-1) ** i * comb(", "s = comb(",
            killer="tests/test_acceptance.py::test_criterion_5_f_minus_1"),
@@ -199,7 +202,7 @@ MUTANTS = [
            "for x, y in ((us, ft), (ft, us))", "for x, y in ((ft, us), (us, ft))",
            killer="tests/test_acceptance.py::test_criterion_3_f1"),
     Mutant("stage lift without the u monomial", "derive.py",
-           "lifted, s = _mono_mul(mono, mu),", "lifted, s = mono,",
+           "lifted = _mono_mul(mono, mu)", "lifted = mono",
            killer="tests/test_acceptance.py::test_criterion_3_f1"),
     Mutant("pair skipped when the monomial keys of its compositions agree", "derive.py",
            "if a == b:", "if a.terms.keys() == b.terms.keys():",
@@ -231,6 +234,9 @@ MUTANTS = [
     Mutant("conjugate side accepts degree 0", "derive.py",
            "if g >= 0:", "if g > 0:",
            killer="tests/test_derive.py::test_derivation_refusals[conjugate-side-at-0]"),
+    Mutant("_find_shift halving with / 2, a float for two int poles", "derive.py",
+           "m = Fraction(min(fa) - min(fb), 2)", "m = (min(fa) - min(fb)) / 2",
+           killer="tests/test_exact_keys.py::test_find_shift_halves_the_gap_exactly"),
     Mutant("_find_shift without its one-sided check", "derive.py",
            "if not (fa and fb):", "if False:",
            killer="tests/test_derive.py::test_find_shift_reads_poles"),
@@ -285,6 +291,13 @@ MUTANTS = [
     Mutant("bisection counts the right half from mid + 1", "ratfun.py",
            "vmid = variations(mid)", "vmid = variations(mid + 1)",
            killer="tests/test_golden_reports.py::test_golden_report[invmellin]"),
+    # the reduced integer triple of a Gaussian rational (exactalg.GaussianRational)
+    Mutant("triple constructor without its gcd reduction", "exactalg.py",
+           "g = gcd(x, y, d) if d > 0 else -gcd(x, y, d)", "g = 1 if d > 0 else -1",
+           killer="tests/test_exactalg.py::test_gaussian_results_are_reduced_triples"),
+    Mutant("GaussianRational.__mul__ without the -y1 y2 term of the real part", "exactalg.py",
+           "a * c - b * e, a * e + b * c", "a * c, a * e + b * c",
+           killer="tests/test_exactalg.py::test_gaussian_results_are_reduced_triples"),
     # the one power rule of the expression grammar (parser._Parser.parse_power)
     Mutant("power loop one factor short: x^3 read as x^2", "parser.py",
            'if bit == "1":', "if False:",

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -206,9 +207,55 @@ def test_gaussian_times_real_matches_four_product_formula(z, x, kind):
 def test_gaussian_parts_are_fractions():
     x = Fraction(3, 4)
     g = GaussianRational(x, 2)
-    assert g.re is x
+    assert type(g.re) is Fraction and g.re == x
     assert type(g.im) is Fraction and g.im == 2
     assert type(GaussianRational(True).re) is Fraction
+
+
+def _is_reduced(g: GaussianRational) -> bool:
+    """The triple invariant: integers x, y, d with d > 0 and gcd(x, y, d) = 1."""
+    return (all(type(v) is int for v in (g.x, g.y, g.d))
+            and g.d > 0 and math.gcd(g.x, g.y, g.d) == 1)
+
+
+@given(fractions(), fractions(), fractions(), fractions(), fractions(), st.integers(-9, 9))
+def test_gaussian_results_are_reduced_triples(ar, ai, br, bi, x, n):
+    # every + - * / and coerce gives the canonical triple of the Fraction-pair reference,
+    # so equal values reached by different routes have equal triples and hashes
+    a, b = GaussianRational(ar, ai), GaussianRational(br, bi)
+    cases = [
+        (a + b, ar + br, ai + bi),
+        (a - b, ar - br, ai - bi),
+        (a * b, ar * br - ai * bi, ar * bi + ai * br),
+        (-a, -ar, -ai),
+        (a + x, ar + x, ai),
+        (a * x, ar * x, ai * x),
+        (n * a, n * ar, n * ai),
+        (GaussianRational.coerce(x), x, 0),
+        (GaussianRational.coerce(n), n, 0),
+    ]
+    if b:
+        nb = br * br + bi * bi
+        cases.append((a / b, (ar * br + ai * bi) / nb, (ai * br - ar * bi) / nb))
+    if x:
+        cases.append((a / x, ar / x, ai / x))
+    if n:
+        cases.append((a / n, ar / n, ai / n))
+    for got, re, im in cases:
+        ref = GaussianRational(re, im)
+        assert _is_reduced(got) and _is_reduced(ref)
+        assert (got.re, got.im) == (re, im)
+        assert (got.x, got.y, got.d) == (ref.x, ref.y, ref.d)
+        assert got == ref and hash(got) == hash(ref)
+
+
+def test_equal_values_by_different_routes_share_one_triple():
+    h = GaussianRational(1, 2) / 2
+    g = GaussianRational(Fraction(1, 2), 1)
+    assert (h.x, h.y, h.d) == (g.x, g.y, g.d) == (1, 2, 2)
+    assert h == g and hash(h) == hash(g)
+    zero = GaussianRational(Fraction(3, 4)) - GaussianRational(Fraction(6, 8))
+    assert (zero.x, zero.y, zero.d) == (0, 0, 1) and not zero
 
 
 def test_gaussian_rational_defers_to_coeff():

@@ -1,5 +1,6 @@
 """The exact engine never imports scipy; only the quadrature oracle does;
-and every public name the package exports resolves.
+the command line starts without dataclasses or inspect; and every public
+name the package exports resolves.
 
 Each check runs in a fresh interpreter, so that no earlier test has
 already put scipy into ``sys.modules`` or imported a module by itself.
@@ -38,6 +39,14 @@ report = json.loads(out.getvalue())
 print(json.dumps({"code": code, "status": report["status"], "scipy": "scipy" in sys.modules}))
 """
 
+STARTUP = """
+import json, sys
+import htoeplitz.cli
+
+htoeplitz.cli.build_parser()
+print(json.dumps({name: name in sys.modules for name in ("dataclasses", "inspect")}))
+"""
+
 STAR_IMPORT = """
 import json
 import htoeplitz
@@ -65,6 +74,11 @@ def test_exact_commands_leave_scipy_unimported():
 def test_oracle_check_loads_scipy_on_demand():
     out = run_fresh(ORACLE_COMMAND)
     assert out == {"code": 0, "status": "ok", "scipy": True}
+
+
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+    # each would load inspect, dis and tokenize, and exec the generated methods
+    assert run_fresh(STARTUP) == {"dataclasses": False, "inspect": False}
 
 
 def test_every_export_resolves_through_star_import():
